@@ -2,9 +2,10 @@
 Fitting growth curves to noisy data
 ===================================
 
-A damped least-squares loop (analytic Jacobians, box bounds, three
-deterministic starts) recovers growth-curve parameters from scattered
-(bodyweight, total) pairs.
+Bounded least squares recovers growth-curve parameters from scattered
+(bodyweight, total) pairs. The amplitude L is solved in closed form for
+each (k, x0), and one scipy trust-region call with the exact Jacobian
+fits (k, x0) from a single data-driven start.
 
 Run:  python demos/03_curve_fitting.py
 """
@@ -28,7 +29,7 @@ p = result.params
 print(f"fitted:     L={p.L:7.1f}  k={p.k:.5f}  x0={p.x0:7.2f}")
 print(f"truth:      L={truth.L:7.1f}  k={truth.k:.5f}  x0={truth.x0:7.2f}")
 print(f"rmse={result.rmse:.2f} kg (noise was 30), converged={result.converged} "
-      f"in {result.iterations} iterations")
+      f"in {result.iterations} function evaluations")
 
 standard_errors = np.sqrt(np.diag(result.covariance_proxy))
 for name, value, se in zip(("L", "k", "x0"), (p.L, p.k, p.x0), standard_errors):

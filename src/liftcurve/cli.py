@@ -37,6 +37,7 @@ from .resample import ResamplePlan, flatten_resample
 from .scoring import (
     ScoreRegistry,
     default_registry,
+    drop_unscorable,
     read_scored_csv,
     score_dataset,
     write_scored_csv,
@@ -180,7 +181,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "fit_config": {
                 "max_iterations": args.max_iterations,
                 "tolerance": FitConfig(family=family).tolerance,
-                "damping_init": FitConfig(family=family).damping_init,
             },
             "seed": args.seed,
         },
@@ -222,8 +222,13 @@ def cmd_score(args: argparse.Namespace) -> int:
         require_raw=False, require_open_division=False, require_full_event=False
     )
     entries, _ = parse_csv(args.input, policy)
-    scored = score_dataset(entries, args.system, registry)
+    scorable, dropped_by_reason = drop_unscorable(entries, args.system, registry)
+    scored = score_dataset(scorable, args.system, registry)
     write_scored_csv(scored, out_dir / "scored.csv")
+    _json_dump(
+        {"rows_in": len(entries), "scored": len(scored), "dropped_by_reason": dropped_by_reason},
+        out_dir / "score_stats.json",
+    )
     _write_manifest(
         args,
         out_dir,
@@ -233,7 +238,10 @@ def cmd_score(args: argparse.Namespace) -> int:
             "config": os.environ.get(CONFIG_ENV_VAR),
         },
     )
-    print(f"scored {len(scored)} entries with system={args.system}")
+    dropped = len(entries) - len(scored)
+    print(f"scored {len(scored)} of {len(entries)} entries with system={args.system} ({dropped} dropped)")
+    for reason in sorted(dropped_by_reason):
+        print(f"  dropped[{reason}] = {dropped_by_reason[reason]}")
     return EXIT_OK
 
 

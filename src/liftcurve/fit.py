@@ -1,44 +1,45 @@
 """Nonlinear least squares for growth-curve parameters.
 
-A damped (Levenberg-Marquardt style) Gauss-Newton loop minimises
-``sum((y_i - f(x_i))^2)`` over ``(L, k, x0)`` using the analytic parameter
-Jacobian from :mod:`liftcurve.models`. Damping is multiplied up on
-rejected steps and decayed on accepted ones, candidate parameters are
-projected onto box bounds, and accepted steps never increase the sum of
-squares. Local-minimum ties are broken by a deterministic 3-point
-multi-start (auto init plus the same init with k perturbed by +-50%).
+Both families are linear in the amplitude ``L``: ``f(x) = L * g(x; k, x0)``.
+So for any ``(k, x0)`` the best amplitude has the closed form
+``L* = clip(g.y / g.g, L_lo, L_hi)``, and :func:`fit` minimises
+``sum((L* g(x_i) - y_i)^2)`` over ``(k, x0)`` alone (variable projection,
+Golub & Pereyra 1973) with one bounded trust-region-reflective
+``scipy.optimize.least_squares`` call and the exact Jacobian of that
+reduced residual. ``init.L`` is therefore unused; ``tolerance`` is the
+solver's ``ftol``, ``xtol`` and ``gtol``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .models import GrowthParams, ModelFamily, evaluate, param_gradient
+from .models import GrowthParams, ModelFamily, param_gradient
 
 Bounds = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
-
-_DAMPING_MAX = 1e12
-_DAMPING_MIN = 1e-12
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Solver configuration; ``init=None`` triggers :func:`auto_init`."""
+    """Solver configuration; ``init=None`` triggers :func:`auto_init`.
+
+    Only ``init.k`` and ``init.x0`` are used: ``L`` is solved in closed
+    form. ``max_iterations`` caps function evaluations, and ``tolerance``
+    is the solver's ``ftol``, ``xtol`` and ``gtol``.
+    """
 
     family: ModelFamily
     init: GrowthParams | None = None
     bounds: Bounds | None = None
     max_iterations: int = 200
     tolerance: float = 1e-10
-    damping_init: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.damping_init <= 0:
-            raise ValueError(f"damping_init must be positive, got {self.damping_init}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.bounds is not None:
@@ -52,7 +53,7 @@ class FitResult:
     params: GrowthParams
     sse: float
     rmse: float
-    iterations: int
+    iterations: int  # function evaluations
     converged: bool
     covariance_proxy: np.ndarray  # (J^T J)^-1 scaled by residual variance
 
@@ -116,102 +117,63 @@ def auto_init(x, y, family: ModelFamily, bounds: Bounds | None = None) -> Growth
         x0 = float(np.median(x)) - 2.0 / k0
     if bounds is None:
         bounds = default_bounds(x, y)
-    theta = _project(np.array([L0, k0, x0]), bounds)
-    return GrowthParams(family=family, L=float(theta[0]), k=float(theta[1]), x0=float(theta[2]))
-
-
-def _project(theta: np.ndarray, bounds: Bounds) -> np.ndarray:
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    return np.clip(theta, lo, hi)
-
-
-def _sse(family: ModelFamily, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    params = GrowthParams(family=family, L=theta[0], k=theta[1], x0=theta[2])
-    r = y - evaluate(params, x)
-    return float(r @ r)
-
-
-def _levenberg_marquardt(
-    family: ModelFamily,
-    start: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    bounds: Bounds,
-    config: FitConfig,
-) -> tuple[np.ndarray, float, int, bool]:
-    """Single-start damped least squares; returns (theta, sse, iterations, converged)."""
-    theta = _project(start, bounds)
-    sse = _sse(family, theta, x, y)
-    damping = config.damping_init
-    iterations = 0
-    converged = False
-    tiny = np.finfo(float).tiny
-
-    for iterations in range(1, config.max_iterations + 1):
-        params = GrowthParams(family=family, L=theta[0], k=theta[1], x0=theta[2])
-        residual = y - evaluate(params, x)
-        jac = param_gradient(params, x)  # residual Jacobian is -jac
-        gradient = jac.T @ residual  # -0.5 * grad(SSE)
-        normal = jac.T @ jac
-        diag = np.diag(np.maximum(np.diag(normal), 1e-300))
-
-        accepted = False
-        while damping <= _DAMPING_MAX:
-            try:
-                step = np.linalg.solve(normal + damping * diag, gradient)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and np.all(np.isfinite(step)):
-                candidate = _project(theta + step, bounds)
-                sse_new = _sse(family, candidate, x, y)
-                if np.isfinite(sse_new) and sse_new <= sse:
-                    accepted = True
-                    break
-            damping *= 10.0
-        if not accepted:
-            # max damping reached without an acceptable step
-            return theta, sse, iterations, False
-
-        change = sse - sse_new
-        theta, sse = candidate, sse_new
-        damping = max(damping * 0.1, _DAMPING_MIN)
-        if change < config.tolerance * max(sse, tiny):
-            converged = True
-            break
-
-    return theta, sse, iterations, converged
+    lo, hi = np.array(bounds).T
+    L0, k0, x0 = np.clip([L0, k0, x0], lo, hi)
+    return GrowthParams(family=family, L=float(L0), k=float(k0), x0=float(x0))
 
 
 def fit(x, y, config: FitConfig) -> FitResult:
     """Fit growth-curve parameters to ``(bodyweight, total)`` data.
 
-    Deterministic for fixed data and config. A solver that cannot make
-    progress returns ``converged=False`` rather than raising.
+    Deterministic for fixed data and config. A fit that stops at the
+    evaluation cap, or whose ``(k, x0)`` the data do not identify (the
+    reduced Jacobian is numerically singular), returns ``converged=False``
+    rather than raising.
     """
+    # imported here, not at module level: scipy.optimize takes longer to
+    # import than the rest of the package, and only fitting needs it
+    from scipy.optimize import least_squares
+
     x, y = _validate_data(x, y)
     bounds = config.bounds if config.bounds is not None else default_bounds(x, y)
-    base = config.init if config.init is not None else auto_init(x, y, config.family, bounds)
+    init = config.init if config.init is not None else auto_init(x, y, config.family, bounds)
+    (L_lo, L_hi), *nonlinear = bounds
+    lo, hi = np.array(nonlinear).T
 
-    starts = [
-        np.array([base.L, base.k, base.x0]),
-        np.array([base.L, base.k * 1.5, base.x0]),
-        np.array([base.L, base.k * 0.5, base.x0]),
-    ]
-    best: tuple[np.ndarray, float, int, bool] | None = None
-    for start in starts:
-        outcome = _levenberg_marquardt(config.family, start, x, y, bounds, config)
-        if best is None:
-            best = outcome
-            continue
-        # lowest SSE wins; ties go to the smaller rate
-        if outcome[1] < best[1] or (outcome[1] == best[1] and outcome[0][1] < best[0][1]):
-            best = outcome
+    @lru_cache(maxsize=1)  # least_squares asks for the residual and the Jacobian at the same point
+    def project(key: bytes):
+        """Unit curve g, its (k, x0) columns, g.g, the best L and whether L is clipped."""
+        grad = param_gradient(GrowthParams(config.family, 1.0, *np.frombuffer(key)), x)
+        g, dg = grad[:, 0], grad[:, 1:]
+        gg = g @ g
+        L_free = (g @ y) / gg
+        return g, dg, gg, min(max(L_free, L_lo), L_hi), not L_lo < L_free < L_hi
 
-    theta, sse, iterations, converged = best
-    params = GrowthParams(
-        family=config.family, L=float(theta[0]), k=float(theta[1]), x0=float(theta[2])
+    def residual(theta: np.ndarray) -> np.ndarray:
+        g, _, _, L, _ = project(theta.tobytes())
+        return L * g - y
+
+    def jacobian(theta: np.ndarray) -> np.ndarray:
+        g, dg, gg, L, clipped = project(theta.tobytes())
+        if clipped:
+            return L * dg
+        dL = (dg.T @ y - 2.0 * L * (dg.T @ g)) / gg
+        return L * dg + np.outer(g, dL)
+
+    tol = config.tolerance
+    sol = least_squares(
+        residual, np.clip([init.k, init.x0], lo, hi), jac=jacobian, bounds=(lo, hi),
+        method="trf", x_scale="jac", ftol=tol, xtol=tol, gtol=tol, max_nfev=config.max_iterations,
     )
+    # On flat data trf can stop inside the box where the SSE has underflowed,
+    # although the minimiser lies on its edge. The reduced Jacobian is then
+    # singular in relative (k, x0) units, and the fit is not reported as converged.
+    smallest = np.linalg.svd(sol.jac * np.abs(sol.x), compute_uv=False)[-1]
+    identified = smallest > np.sqrt(np.finfo(float).eps) * np.linalg.norm(y)
+
+    k, x0 = map(float, sol.x)
+    params = GrowthParams(config.family, float(project(sol.x.tobytes())[3]), k, x0)
+    sse = float(sol.fun @ sol.fun)
     jac = param_gradient(params, x)
     dof = max(x.size - 3, 1)
     covariance = (sse / dof) * np.linalg.pinv(jac.T @ jac)
@@ -219,7 +181,7 @@ def fit(x, y, config: FitConfig) -> FitResult:
         params=params,
         sse=sse,
         rmse=float(np.sqrt(sse / x.size)),
-        iterations=iterations,
-        converged=converged,
+        iterations=int(sol.nfev),
+        converged=bool(sol.status > 0 and identified),
         covariance_proxy=covariance,
     )

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
@@ -224,6 +225,26 @@ def score_entry(entry: LifterEntry, system: str, registry: ScoreRegistry) -> flo
     if system == "model":
         return model_score(entry.bodyweight_kg, entry.total_kg, coeffs)
     raise ConfigError(f"unknown scoring system {system!r}")
+
+
+def drop_unscorable(entries, system: str, registry: ScoreRegistry) -> tuple[list[LifterEntry], dict[str, int]]:
+    """The entries ``system`` can score, in order, and the others counted by reason.
+
+    Wilks and GL raise outside the validated bodyweight domain, and a Wilks
+    polynomial can reach zero inside it (women's, above ~208 kg).
+    """
+    kept: list[LifterEntry] = []
+    dropped: Counter[str] = Counter()
+    lo, hi = WILKS_DOMAIN_KG
+    for entry in entries:
+        x = entry.bodyweight_kg
+        if system in ("wilks", "wilks2", "ipf_gl") and not lo <= x <= hi:
+            dropped["bodyweight_out_of_domain"] += 1
+        elif system in ("wilks", "wilks2") and registry.resolve(system, entry.sex)._poly(x) <= 0:
+            dropped["non_positive_denominator"] += 1
+        else:
+            kept.append(entry)
+    return kept, dict(dropped)
 
 
 def score_dataset(entries, system: str, registry: ScoreRegistry) -> list[tuple[LifterEntry, float]]:

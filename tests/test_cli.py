@@ -208,6 +208,31 @@ class TestScoreCommand:
         lines = (out / "scored.csv").read_text().strip().splitlines()
         assert len(lines) == 1  # header only
 
+    @pytest.mark.parametrize(
+        "system, kept, dropped_by_reason",
+        [
+            ("wilks", [74.0, 63.0], {"bodyweight_out_of_domain": 2, "non_positive_denominator": 1}),
+            ("ipf_gl", [74.0, 215.0, 63.0], {"bodyweight_out_of_domain": 2}),
+        ],
+        ids=["wilks", "ipf_gl"],
+    )
+    def test_unscorable_rows_are_dropped_and_counted(self, tmp_path, capsys, system, kept, dropped_by_reason):
+        entries = [
+            make_entry(74.0, 560.0, sex=Sex.MALE),
+            make_entry(29.34, 150.0, sex=Sex.FEMALE),
+            make_entry(215.0, 400.0, sex=Sex.FEMALE),  # women's Wilks denominator < 0 here
+            make_entry(260.0, 900.0, sex=Sex.MALE),
+            make_entry(63.0, 380.0, sex=Sex.FEMALE),
+        ]
+        src = tmp_path / "data.csv"
+        write_normalized_csv(entries, src)
+        out = tmp_path / "out"
+        assert main(["score", "--input", str(src), "--output-dir", str(out), "--system", system]) == 0
+        stats = json.loads((out / "score_stats.json").read_text())
+        assert stats == {"rows_in": 5, "scored": len(kept), "dropped_by_reason": dropped_by_reason}
+        assert [e.bodyweight_kg for e, _ in read_scored_csv(out / "scored.csv")] == kept
+        assert f"({5 - len(kept)} dropped)" in capsys.readouterr().out
+
     def test_model_without_params_exits_2(self, tmp_path):
         src = tmp_path / "data.csv"
         write_normalized_csv([make_entry(93.0, 700.0)], src)

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from liftcurve.fit import (
-    FitConfig,
-    _levenberg_marquardt,
-    _sse,
-    auto_init,
-    default_bounds,
-    fit,
-)
-from liftcurve.models import GrowthParams, ModelFamily, evaluate, param_gradient
+from scipy.optimize import least_squares
 
-from synth import logistic_xy
+from liftcurve.fit import FitConfig, auto_init, default_bounds, fit
+from liftcurve.ingest import Sex
+from liftcurve.kde import fit_kde
+from liftcurve.models import GrowthParams, ModelFamily, evaluate, param_gradient
+from liftcurve.resample import ResamplePlan, flatten_resample
+
+from synth import FEMALE_CURVE, FEMALE_LOG_BW, FEMALE_NOISE_SIGMA, logistic_xy, make_entry, rng
 
 LOGISTIC_TRUTH = GrowthParams(ModelFamily.LOGISTIC, 722.3, 0.05447, 53.4)
 VB_TRUTH = GrowthParams(ModelFamily.VON_BERTALANFFY, 776.7, 0.02045, 22.33)
@@ -137,14 +135,13 @@ class TestFit:
 class TestSolverInternals:
     def test_single_start_never_worse_than_init(self):
         x, y = logistic_xy(n=500, seed=19)
-        bounds = default_bounds(x, y)
-        config = FitConfig(family=ModelFamily.LOGISTIC)
+        lo, hi = np.array(default_bounds(x, y)).T
         for start in ([700.0, 0.02, 10.0], [400.0, 0.2, 90.0], [900.0, 0.001, -50.0]):
-            theta0 = np.array(start)
-            theta, sse, _, _ = _levenberg_marquardt(
-                ModelFamily.LOGISTIC, theta0, x, y, bounds, config
-            )
-            assert sse <= _sse(ModelFamily.LOGISTIC, np.clip(theta0, [b[0] for b in bounds], [b[1] for b in bounds]), x, y)
+            init = GrowthParams(ModelFamily.LOGISTIC, *start)
+            result = fit(x, y, FitConfig(family=ModelFamily.LOGISTIC, init=init))
+            clipped = GrowthParams(ModelFamily.LOGISTIC, *np.clip(start, lo, hi))
+            residual = y - evaluate(clipped, x)
+            assert result.sse <= residual @ residual
 
     def test_jacobian_matches_finite_differences_at_init_and_solution(self):
         x, y = logistic_xy(n=800, seed=23)
@@ -167,3 +164,69 @@ class TestSolverInternals:
                 ) / (2 * h)
                 scale = np.maximum(np.abs(fd), 1e-8)
                 assert np.max(np.abs(grad[:, j] - fd) / scale) < 1e-5
+
+
+def female_xy(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Female (bodyweight, total) pairs shaped like the synthetic snapshot, rounded to 0.01 kg."""
+    gen = rng(seed)
+    x = np.round(np.exp(gen.normal(*FEMALE_LOG_BW, n)), 2)
+    noise = np.exp(gen.normal(0.0, FEMALE_NOISE_SIGMA, n))
+    return x, np.round(np.maximum(evaluate(FEMALE_CURVE, x) * noise, 30.0), 2)
+
+
+def flattened_female_xy(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The female sample after KDE inverse-density resampling to n draws."""
+    x, y = female_xy(n, seed)
+    entries = [make_entry(b, t, sex=Sex.FEMALE) for b, t in zip(x, y)]
+    drawn, _ = flatten_resample(entries, fit_kde(x), ResamplePlan(k=n, seed=seed))
+    return np.array([e.bodyweight_kg for e in drawn]), np.array([e.total_kg for e in drawn])
+
+
+def reference_sse(family: ModelFamily, x, y, starts) -> float:
+    """Lowest SSE of a full (L, k, x0) trust-region fit at 1e-12 tolerances from any start."""
+    lo, hi = np.array(default_bounds(x, y)).T
+    best = np.inf
+    for start in starts:
+        sol = least_squares(
+            lambda t: evaluate(GrowthParams(family, *t), x) - y,
+            np.clip(start, lo, hi),
+            jac=lambda t: param_gradient(GrowthParams(family, *t), x),
+            bounds=(lo, hi),
+            method="trf",
+            x_scale="jac",
+            ftol=1e-12,
+            xtol=1e-12,
+            gtol=1e-12,
+            max_nfev=2000,
+        )
+        best = min(best, float(sol.fun @ sol.fun))
+    return best
+
+
+class TestOptimality:
+    @pytest.mark.parametrize(
+        "family, sample",
+        [
+            (ModelFamily.LOGISTIC, lambda: logistic_xy(n=2_000, seed=29)),
+            (ModelFamily.VON_BERTALANFFY, lambda: logistic_xy(n=2_000, params=VB_TRUTH, seed=31)),
+            (ModelFamily.LOGISTIC, lambda: female_xy(2_000, seed=37)),
+            (ModelFamily.VON_BERTALANFFY, lambda: female_xy(2_000, seed=37)),
+            (ModelFamily.LOGISTIC, lambda: flattened_female_xy(2_000, seed=2)),
+        ],
+        ids=["logistic", "vb", "female-logistic", "female-vb", "flattened-female-logistic"],
+    )
+    def test_sse_matches_full_trust_region_reference(self, family, sample):
+        x, y = sample()
+        result = fit(x, y, FitConfig(family=family))
+        p = result.params
+        x0 = float(np.median(x)) if family is ModelFamily.LOGISTIC else 0.0
+        independent = (1.1 * np.max(y), 3.0 / np.ptp(x), x0)
+        best = reference_sse(family, x, y, [(p.L, p.k, p.x0), independent])
+        assert result.converged
+        assert (result.sse - best) / best <= 1e-6
+
+    def test_flattened_female_optimum_has_L_on_its_bound(self):
+        # the case above that exercises the clipped-amplitude branch
+        x, y = flattened_female_xy(2_000, seed=2)
+        result = fit(x, y, FitConfig(family=ModelFamily.LOGISTIC))
+        assert result.params.L == default_bounds(x, y)[0][1]

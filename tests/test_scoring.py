@@ -85,6 +85,13 @@ class TestGl:
         assert abs(male - GL_MALE_93_700) < 0.01
         assert abs(female - GL_FEMALE_63_400) < 0.01
 
+    def test_domain_guard(self):
+        coeffs = GlCoefficients(A=1200.0, B=1000.0, C=0.01)
+        with pytest.raises(ValueError):
+            gl_score(29.34, 300.0, coeffs)
+        with pytest.raises(ValueError):
+            gl_score(260.0, 900.0, coeffs)
+
     def test_invalid_coefficients_rejected(self):
         with pytest.raises(ConfigError):
             GlCoefficients(A=-5.0, B=10.0, C=0.01)
