@@ -166,6 +166,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
             f"k={result.params.k:.4g} x0={result.params.x0:.4g} "
             f"rmse={result.rmse:.4g} [{state} in {result.iterations} it]"
         )
+        on_bound = [
+            f"{name} on its {'lower' if side < 0 else 'upper'} bound"
+            for name, side in zip(("L", "k", "x0"), result.active_bounds)
+            if side
+        ]
+        if on_bound:
+            print(f"warning: fit {family.value} {label}: {', '.join(on_bound)}", file=sys.stderr)
         if not result.converged:
             any_diverged = True
 

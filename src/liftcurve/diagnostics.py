@@ -10,6 +10,7 @@ and the fraction of a sample below a bodyweight threshold.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,30 @@ def myriad_averages(bodyweight_kg, total_kg, group_size: int = DEFAULT_GROUP_SIZ
     )
 
 
+# windows sorted per block: bounds the sorted copy at 4096 * window floats
+_WINDOWS_PER_SORT = 4096
+
+
+def _sorted_quantiles(rows: np.ndarray, levels: tuple[float, ...]) -> np.ndarray:
+    """``np.quantile(rows, levels, axis=1, method="linear").T`` for rows already sorted.
+
+    The same arithmetic as numpy's: virtual index ``(w - 1) * q``, then
+    ``a + d * g`` below ``g = 0.5`` and ``b - d * (1 - g)`` from it on, with
+    ``d = b - a``. A row holding NaN (sorted last) takes that NaN, as in numpy.
+    """
+    out = np.empty((rows.shape[0], len(levels)))
+    for j, q in enumerate(levels):
+        index = (rows.shape[1] - 1) * q
+        lo = math.floor(index)
+        g = index - lo
+        a, b = rows[:, lo], rows[:, lo + 1]
+        d = b - a
+        out[:, j] = a + d * g if g < 0.5 else b - d * (1 - g)
+    nan_rows = np.isnan(rows[:, -1])
+    out[nan_rows] = rows[nan_rows, -1:]
+    return out
+
+
 def rolling_quantiles(
     bodyweight_kg,
     scores,
@@ -107,8 +132,10 @@ def rolling_quantiles(
 ) -> RollingQuantiles:
     """Empirical score quantiles over a stride-1 sliding bodyweight window.
 
-    Quantiles interpolate linearly between order statistics. Raises
-    :class:`ValueError` when the sample is smaller than the window.
+    Quantiles interpolate linearly between order statistics. The windows
+    are sorted in blocks, so the values and centres equal ``np.quantile``
+    and ``np.median`` over the sliding view bit for bit, NaN included.
+    Raises :class:`ValueError` when the sample is smaller than the window.
     """
     bw = np.asarray(bodyweight_kg, dtype=float).ravel()
     sc = np.asarray(scores, dtype=float).ravel()
@@ -128,8 +155,19 @@ def rolling_quantiles(
     bw = bw[order]
     sc = sc[order]
     score_windows = sliding_window_view(sc, window)
-    values = np.quantile(score_windows, levels, axis=1, method="linear").T
-    centers = np.median(sliding_window_view(bw, window), axis=1)
+    values = np.empty((score_windows.shape[0], len(levels)))
+    for start in range(0, score_windows.shape[0], _WINDOWS_PER_SORT):
+        chunk = np.sort(score_windows[start : start + _WINDOWS_PER_SORT], axis=1)
+        values[start : start + chunk.shape[0]] = _sorted_quantiles(chunk, levels)
+    # bw is sorted (NaN last), so each window's median is its middle element
+    # or the mean of its middle two, and a window holding NaN ends in one
+    half = window // 2
+    if window % 2:
+        centers = bw[half : bw.size - half]
+    else:
+        centers = (bw[half - 1 : bw.size - half] + bw[half : bw.size - half + 1]) / 2
+    last = bw[window - 1 :]
+    centers = np.where(np.isnan(last), last, centers)
     return RollingQuantiles(
         window=window,
         levels=levels,

@@ -56,6 +56,8 @@ class FitResult:
     iterations: int  # function evaluations
     converged: bool
     covariance_proxy: np.ndarray  # (J^T J)^-1 scaled by residual variance
+    # per (L, k, x0): -1 on the lower bound, +1 on the upper bound, 0 inside
+    active_bounds: tuple[int, int, int]
 
     def to_record(self) -> dict:
         """Serialisable summary (internal kg units)."""
@@ -68,6 +70,7 @@ class FitResult:
             "rmse": self.rmse,
             "iterations": self.iterations,
             "converged": self.converged,
+            "active_bounds": list(self.active_bounds),
         }
 
 
@@ -128,7 +131,9 @@ def fit(x, y, config: FitConfig) -> FitResult:
     Deterministic for fixed data and config. A fit that stops at the
     evaluation cap, or whose ``(k, x0)`` the data do not identify (the
     reduced Jacobian is numerically singular), returns ``converged=False``
-    rather than raising.
+    rather than raising. ``active_bounds`` says which parameters the box,
+    not the data, holds: L's from the clip of its closed form, k's and
+    x0's from the solver's active set.
     """
     # imported here, not at module level: scipy.optimize takes longer to
     # import than the rest of the package, and only fitting needs it
@@ -142,20 +147,21 @@ def fit(x, y, config: FitConfig) -> FitResult:
 
     @lru_cache(maxsize=1)  # least_squares asks for the residual and the Jacobian at the same point
     def project(key: bytes):
-        """Unit curve g, its (k, x0) columns, g.g, the best L and whether L is clipped."""
+        """Unit curve g, its (k, x0) columns, g.g, the best L and its clipped side (-1, 0 or +1)."""
         grad = param_gradient(GrowthParams(config.family, 1.0, *np.frombuffer(key)), x)
         g, dg = grad[:, 0], grad[:, 1:]
         gg = g @ g
         L_free = (g @ y) / gg
-        return g, dg, gg, min(max(L_free, L_lo), L_hi), not L_lo < L_free < L_hi
+        side = 0 if L_lo < L_free < L_hi else -1 if L_free <= L_lo else 1
+        return g, dg, gg, min(max(L_free, L_lo), L_hi), side
 
     def residual(theta: np.ndarray) -> np.ndarray:
         g, _, _, L, _ = project(theta.tobytes())
         return L * g - y
 
     def jacobian(theta: np.ndarray) -> np.ndarray:
-        g, dg, gg, L, clipped = project(theta.tobytes())
-        if clipped:
+        g, dg, gg, L, side = project(theta.tobytes())
+        if side:
             return L * dg
         dL = (dg.T @ y - 2.0 * L * (dg.T @ g)) / gg
         return L * dg + np.outer(g, dL)
@@ -172,7 +178,8 @@ def fit(x, y, config: FitConfig) -> FitResult:
     identified = smallest > np.sqrt(np.finfo(float).eps) * np.linalg.norm(y)
 
     k, x0 = map(float, sol.x)
-    params = GrowthParams(config.family, float(project(sol.x.tobytes())[3]), k, x0)
+    *_, L, L_side = project(sol.x.tobytes())
+    params = GrowthParams(config.family, float(L), k, x0)
     sse = float(sol.fun @ sol.fun)
     jac = param_gradient(params, x)
     dof = max(x.size - 3, 1)
@@ -184,4 +191,5 @@ def fit(x, y, config: FitConfig) -> FitResult:
         iterations=int(sol.nfev),
         converged=bool(sol.status > 0 and identified),
         covariance_proxy=covariance,
+        active_bounds=(L_side, *map(int, sol.active_mask)),
     )

@@ -85,7 +85,11 @@ class IngestStats:
 
 
 def _parse_kg(cell: str | None) -> float | None:
-    """Positive kg value rounded to 2 decimals, or None if missing/invalid."""
+    """Positive kg value rounded to 2 decimals, or None if missing/invalid.
+
+    Positivity is checked after rounding, so a value that rounds to 0.00 kg
+    is dropped here rather than kept and then dropped on a re-parse.
+    """
     if cell is None:
         return None
     text = cell.strip()
@@ -95,9 +99,10 @@ def _parse_kg(cell: str | None) -> float | None:
         value = float(text)
     except ValueError:
         return None
+    value = round(value, 2)
     if not math.isfinite(value) or value <= 0:
         return None
-    return round(value, 2)
+    return value
 
 
 def _classify_row(row: dict, policy: FilterPolicy) -> LifterEntry | str:

@@ -13,6 +13,9 @@ published sources) through :class:`ScoreRegistry`.
 
 The Wilks polynomial is only validated over 30-250 kg, so Wilks and GL
 scoring guard that domain; model scores only require ``f(x) > 0``.
+
+:func:`score_dataset` and :func:`drop_unscorable` work per sex on arrays
+and match the per-row functions bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
@@ -227,36 +229,104 @@ def score_entry(entry: LifterEntry, system: str, registry: ScoreRegistry) -> flo
     raise ConfigError(f"unknown scoring system {system!r}")
 
 
+def _columns_by_sex(entries: list[LifterEntry]) -> list[tuple[Sex, np.ndarray, np.ndarray, np.ndarray]]:
+    """``(sex, rows, bodyweights, totals)`` per sex, in order of first appearance."""
+    x = np.array([e.bodyweight_kg for e in entries], dtype=float)
+    y = np.array([e.total_kg for e in entries], dtype=float)
+    sexes = [e.sex for e in entries]
+    groups = []
+    for sex in dict.fromkeys(sexes):
+        rows = np.flatnonzero([s is sex for s in sexes])
+        groups.append((sex, rows, x[rows], y[rows]))
+    return groups
+
+
+def _score_arrays(system: str, coeffs, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Score one sex's bodyweights ``x`` and totals ``y`` under ``system``.
+
+    Returns the scores and, per reason, the mask of rows the per-row
+    scorers reject; the scores of those rows are meaningless. The other
+    scores equal the per-row ones bit for bit: the arithmetic is the same
+    and in the same order, with ``math.exp`` per element for GL because
+    ``np.exp`` can differ from it in the last bit. For model scores the
+    domain is ``x > 0`` and the denominator is ``f(x)``. Out-of-domain
+    rows never count as a non-positive denominator.
+    """
+    if system == "model":
+        in_domain = np.isfinite(x) & (x > 0)
+    else:
+        lo, hi = WILKS_DOMAIN_KG
+        in_domain = (lo <= x) & (x <= hi)
+    xd = x[in_domain]
+    if system in ("wilks", "wilks2"):
+        scale, denominator = coeffs.C, coeffs._poly(xd)
+    elif system == "ipf_gl":
+        scale = 100.0
+        denominator = coeffs.A - coeffs.B * np.fromiter(map(math.exp, (-coeffs.C * xd).tolist()), float, xd.size)
+    elif system == "model":
+        scale, denominator = MODEL_SCORE_SCALE, evaluate(coeffs, xd)
+    else:
+        raise ConfigError(f"unknown scoring system {system!r}")
+    den = np.full(x.shape, np.nan)
+    den[in_domain] = denominator
+    # model_score groups y / f(x) so that y == f(x) scores exactly the scale;
+    # only rejected rows can divide badly
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = scale * (y / den) if system == "model" else scale * y / den
+    return scores, {
+        "bodyweight_out_of_domain": ~in_domain,
+        "non_positive_total": ~(np.isfinite(y) & (y > 0)),
+        "non_positive_denominator": den <= 0,
+    }
+
+
+_DROP_REASONS = ("bodyweight_out_of_domain", "non_positive_denominator")
+
+
 def drop_unscorable(entries, system: str, registry: ScoreRegistry) -> tuple[list[LifterEntry], dict[str, int]]:
     """The entries ``system`` can score, in order, and the others counted by reason.
 
     Wilks and GL raise outside the validated bodyweight domain, and a Wilks
-    polynomial can reach zero inside it (women's, above ~208 kg).
+    polynomial can reach zero inside it (women's, above ~208 kg). Model
+    scores drop nothing. Rows are checked per sex on arrays, by the same
+    rules :func:`score_dataset` applies.
     """
-    kept: list[LifterEntry] = []
-    dropped: Counter[str] = Counter()
-    lo, hi = WILKS_DOMAIN_KG
-    for entry in entries:
-        x = entry.bodyweight_kg
-        if system in ("wilks", "wilks2", "ipf_gl") and not lo <= x <= hi:
-            dropped["bodyweight_out_of_domain"] += 1
-        elif system in ("wilks", "wilks2") and registry.resolve(system, entry.sex)._poly(x) <= 0:
-            dropped["non_positive_denominator"] += 1
-        else:
-            kept.append(entry)
-    return kept, dict(dropped)
+    entries = list(entries)
+    if system == "model":
+        return entries, {}
+    reason = np.full(len(entries), -1)
+    for sex, rows, x, y in _columns_by_sex(entries):
+        masks = _score_arrays(system, registry.resolve(system, sex), x, y)[1]
+        for code, name in enumerate(_DROP_REASONS):
+            reason[rows[masks[name]]] = code
+    kept = [entry for entry, code in zip(entries, reason.tolist()) if code < 0]
+    dropped = reason[reason >= 0]
+    counts = np.bincount(dropped, minlength=len(_DROP_REASONS))
+    # reasons in order of first occurrence
+    return kept, {_DROP_REASONS[code]: int(counts[code]) for code in dict.fromkeys(dropped.tolist())}
 
 
 def score_dataset(entries, system: str, registry: ScoreRegistry) -> list[tuple[LifterEntry, float]]:
     """Score every entry, preserving order.
 
-    Resolves each needed ``(system, sex)`` pair up front so a missing
-    registry entry fails before any work is done.
+    Scores each sex's rows at once on arrays, bit for bit equal to
+    :func:`score_entry`. Resolves each needed ``(system, sex)`` pair up
+    front so a missing registry entry fails before any row is scored. If a
+    row cannot be scored, the first such row in input order raises what
+    :func:`score_entry` raises for it.
     """
     entries = list(entries)
-    for sex in {e.sex for e in entries}:
-        registry.resolve(system, sex)
-    return [(entry, score_entry(entry, system, registry)) for entry in entries]
+    groups = _columns_by_sex(entries)
+    coeffs = [registry.resolve(system, sex) for sex, *_ in groups]
+    scores = np.empty(len(entries))
+    unscorable = np.zeros(len(entries), dtype=bool)
+    for (_, rows, x, y), group_coeffs in zip(groups, coeffs):
+        group_scores, masks = _score_arrays(system, group_coeffs, x, y)
+        scores[rows] = group_scores
+        unscorable[rows] = np.logical_or.reduce(list(masks.values()))
+    for row in np.flatnonzero(unscorable):
+        scores[row] = score_entry(entries[row], system, registry)
+    return list(zip(entries, scores.tolist()))
 
 
 # Scored CSV round-trip: normalized entry columns plus Score (3 decimals).

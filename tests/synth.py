@@ -11,7 +11,9 @@ import csv
 import numpy as np
 
 from liftcurve.ingest import LifterEntry, Sex
+from liftcurve.kde import fit_kde
 from liftcurve.models import GrowthParams, ModelFamily, evaluate
+from liftcurve.resample import ResamplePlan, flatten_resample
 
 # Generating curves for the synthetic snapshot. Chosen so the male
 # logistic location sits near the low-bodyweight inflection seen in real
@@ -177,3 +179,19 @@ def write_snapshot_csv(
             row = rows[idx]
             row["Name"] = f"Lifter{serial:06d}"
             writer.writerow([row[c] for c in columns])
+
+
+def female_xy(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Female (bodyweight, total) pairs shaped like the synthetic snapshot, rounded to 0.01 kg."""
+    gen = rng(seed)
+    x = np.round(np.exp(gen.normal(*FEMALE_LOG_BW, n)), 2)
+    noise = np.exp(gen.normal(0.0, FEMALE_NOISE_SIGMA, n))
+    return x, np.round(np.maximum(evaluate(FEMALE_CURVE, x) * noise, 30.0), 2)
+
+
+def flattened_female_xy(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The female sample after KDE inverse-density resampling to n draws."""
+    x, y = female_xy(n, seed)
+    entries = [make_entry(b, t, sex=Sex.FEMALE) for b, t in zip(x, y)]
+    drawn, _ = flatten_resample(entries, fit_kde(x), ResamplePlan(k=n, seed=seed))
+    return np.array([e.bodyweight_kg for e in drawn]), np.array([e.total_kg for e in drawn])

@@ -10,7 +10,7 @@ from liftcurve.ingest import Sex, parse_csv, write_normalized_csv
 from liftcurve.models import GrowthParams, ModelFamily, evaluate, to_table_record
 from liftcurve.scoring import default_registry, read_scored_csv, wilks_score
 
-from synth import logistic_xy, make_entry
+from synth import flattened_female_xy, logistic_xy, make_entry
 
 FIXTURE = Path(__file__).parent / "data" / "sample20.csv"
 LOGISTIC_MALE = GrowthParams(ModelFamily.LOGISTIC, 722.3, 0.05447, 53.40)
@@ -103,7 +103,7 @@ class TestFitCommand:
         assert (out / "resampled_M.csv").exists()
         assert (out / "resample_plan_M.json").exists()
 
-    def test_fit_recovers_generator_params(self, tmp_path):
+    def test_fit_recovers_generator_params(self, tmp_path, capsys):
         src = tmp_path / "data.csv"
         write_entries_csv(src, n_per_sex=4000, seed=61)
         out = tmp_path / "out"
@@ -114,6 +114,21 @@ class TestFitCommand:
         internal = json.loads((out / "fit_logistic_M.json").read_text())
         assert internal["L"] == pytest.approx(722.3, rel=0.05)
         assert internal["x0"] == pytest.approx(53.4, rel=0.05)
+        assert internal["active_bounds"] == [0, 0, 0]
+        assert "bound" not in capsys.readouterr().err
+
+    def test_amplitude_on_its_bound_is_reported(self, tmp_path, capsys):
+        x, y = flattened_female_xy(2_000, seed=2)
+        src = tmp_path / "flattened.csv"
+        write_normalized_csv([make_entry(b, t, sex=Sex.FEMALE) for b, t in zip(x, y)], src)
+        out = tmp_path / "out"
+        code = main(
+            ["fit", "--input", str(src), "--output-dir", str(out), "--family", "logistic", "--sex", "F"]
+        )
+        assert code == 0
+        internal = json.loads((out / "fit_logistic_F.json").read_text())
+        assert internal["active_bounds"] == [1, 0, 0]
+        assert "warning: fit logistic F: L on its upper bound" in capsys.readouterr().err
 
     def test_vb_fit_on_female_subset(self, tmp_path):
         src = tmp_path / "data.csv"

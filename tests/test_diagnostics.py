@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+from liftcurve import diagnostics
 from liftcurve.diagnostics import (
     fraction_below,
     myriad_averages,
@@ -84,6 +88,65 @@ class TestMyriad:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             myriad_averages([], [])
+
+
+def sliding_view_reference(bodyweights, scores, window, levels):
+    """np.quantile and np.median over the full sliding view of the bodyweight-sorted rows."""
+    order = np.argsort(bodyweights, kind="stable")
+    bw = np.asarray(bodyweights, dtype=float)[order]
+    sc = np.asarray(scores, dtype=float)[order]
+    values = np.quantile(sliding_window_view(sc, window), levels, axis=1, method="linear").T
+    return np.median(sliding_window_view(bw, window), axis=1), values
+
+
+def assert_matches_sliding_view(bw, scores, window, levels):
+    rq = rolling_quantiles(bw, scores, window=window, levels=levels)
+    centers, values = sliding_view_reference(bw, scores, window, levels)
+    assert np.array_equal(rq.center_bodyweight_kg, centers, equal_nan=True)
+    assert np.array_equal(rq.values, values, equal_nan=True)
+
+
+quantile_levels = st.lists(st.floats(0.001, 0.999), min_size=1, max_size=6, unique=True).map(
+    lambda levels: tuple(sorted(levels))
+)
+
+
+class TestRollingQuantilesBitForBit:
+    """rolling_quantiles sorts windows in blocks and interpolates itself; it
+    must equal np.quantile / np.median over the sliding view exactly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.integers(0, 60),
+        st.integers(1, 9),
+        quantile_levels,
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_small_blocks(self, window, extra, block, levels, seed, nan_scores, nan_bodyweights):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        n = window + extra
+        bw = rng.choice(np.round(rng.uniform(40, 180, 12), 1), n)  # heavily tied
+        scores = np.round(rng.normal(100, 20, n), 2)
+        if nan_scores:
+            scores[rng.integers(0, n, 2)] = np.nan
+        if nan_bodyweights:
+            bw[rng.integers(0, n)] = np.nan
+        with mock.patch.object(diagnostics, "_WINDOWS_PER_SORT", block):
+            assert_matches_sliding_view(bw, scores, window, levels)
+
+    @pytest.mark.parametrize("window", [99, 100])
+    @pytest.mark.parametrize("past_edge", [-1, 0, 1, 4097])
+    def test_across_a_block_edge(self, window, past_edge):
+        rng = np.random.Generator(np.random.Philox(key=window + past_edge))
+        n = diagnostics._WINDOWS_PER_SORT + window - 1 + past_edge
+        bw = np.round(rng.lognormal(4.4, 0.2, n), 2)
+        scores = rng.normal(100, 20, n)
+        scores[n // 2] = np.nan
+        levels = (0.05, 0.25, 0.5, 0.75, 0.95)
+        assert_matches_sliding_view(bw, scores, window, levels)
 
 
 class TestRollingQuantiles:

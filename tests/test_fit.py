@@ -4,12 +4,9 @@ import pytest
 from scipy.optimize import least_squares
 
 from liftcurve.fit import FitConfig, auto_init, default_bounds, fit
-from liftcurve.ingest import Sex
-from liftcurve.kde import fit_kde
 from liftcurve.models import GrowthParams, ModelFamily, evaluate, param_gradient
-from liftcurve.resample import ResamplePlan, flatten_resample
 
-from synth import FEMALE_CURVE, FEMALE_LOG_BW, FEMALE_NOISE_SIGMA, logistic_xy, make_entry, rng
+from synth import female_xy, flattened_female_xy, logistic_xy
 
 LOGISTIC_TRUTH = GrowthParams(ModelFamily.LOGISTIC, 722.3, 0.05447, 53.4)
 VB_TRUTH = GrowthParams(ModelFamily.VON_BERTALANFFY, 776.7, 0.02045, 22.33)
@@ -166,22 +163,6 @@ class TestSolverInternals:
                 assert np.max(np.abs(grad[:, j] - fd) / scale) < 1e-5
 
 
-def female_xy(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Female (bodyweight, total) pairs shaped like the synthetic snapshot, rounded to 0.01 kg."""
-    gen = rng(seed)
-    x = np.round(np.exp(gen.normal(*FEMALE_LOG_BW, n)), 2)
-    noise = np.exp(gen.normal(0.0, FEMALE_NOISE_SIGMA, n))
-    return x, np.round(np.maximum(evaluate(FEMALE_CURVE, x) * noise, 30.0), 2)
-
-
-def flattened_female_xy(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The female sample after KDE inverse-density resampling to n draws."""
-    x, y = female_xy(n, seed)
-    entries = [make_entry(b, t, sex=Sex.FEMALE) for b, t in zip(x, y)]
-    drawn, _ = flatten_resample(entries, fit_kde(x), ResamplePlan(k=n, seed=seed))
-    return np.array([e.bodyweight_kg for e in drawn]), np.array([e.total_kg for e in drawn])
-
-
 def reference_sse(family: ModelFamily, x, y, starts) -> float:
     """Lowest SSE of a full (L, k, x0) trust-region fit at 1e-12 tolerances from any start."""
     lo, hi = np.array(default_bounds(x, y)).T
@@ -230,3 +211,11 @@ class TestOptimality:
         x, y = flattened_female_xy(2_000, seed=2)
         result = fit(x, y, FitConfig(family=ModelFamily.LOGISTIC))
         assert result.params.L == default_bounds(x, y)[0][1]
+        assert result.active_bounds == (1, 0, 0)
+        assert result.to_record()["active_bounds"] == [1, 0, 0]
+
+    def test_synthetic_fit_has_no_active_bound(self):
+        x, y = female_xy(2_000, seed=37)
+        result = fit(x, y, FitConfig(family=ModelFamily.LOGISTIC))
+        assert result.active_bounds == (0, 0, 0)
+        assert result.to_record()["active_bounds"] == [0, 0, 0]

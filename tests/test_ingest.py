@@ -1,9 +1,14 @@
+import csv
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liftcurve.errors import SchemaError
 from liftcurve.ingest import (
+    REQUIRED_COLUMNS,
     FilterPolicy,
     LifterEntry,
     Sex,
@@ -148,3 +153,84 @@ class TestRoundTrip:
         entries, _ = parse_csv(src)
         assert entries[0].bodyweight_kg == 93.46
         assert entries[0].total_kg == 700.0
+
+
+# Rows start consistent (total = sum of lifts within a little more than the
+# slack either way) and then have any cell swapped for a malformed one, so
+# that each drop reason and the kept path all occur. 0.004 kg is positive
+# but rounds to 0.00 kg.
+bad_kg_cells = st.sampled_from(["", " ", "abc", "nan", "inf", "-120.5", "0", "-0.0", "1e400"])
+text_cells = st.text(alphabet=' ,"abcOPENopen-xyz\'', max_size=8)
+
+
+@st.composite
+def csv_rows(draw):
+    lift = st.floats(0.001, 400.0) | st.sampled_from([0.004, 0.005])
+    squat, bench, deadlift = (draw(lift) for _ in range(3))
+    total = squat + bench + deadlift + draw(st.floats(-0.7, 0.7))
+    kg = {
+        "BodyweightKg": draw(st.floats(20.0, 250.0) | st.sampled_from([0.004, 0.005])),
+        "Best3SquatKg": squat,
+        "Best3BenchKg": bench,
+        "Best3DeadliftKg": deadlift,
+        "TotalKg": total,
+    }
+    row = {
+        "Sex": draw(st.sampled_from(["M", "F", "m", " f ", "", "X"])),
+        "Equipment": draw(st.sampled_from(["Raw", " raw", "Wraps"]) | text_cells),
+        "Division": draw(st.sampled_from(["Open", "MR-O", "Juniors"]) | text_cells),
+        "Event": draw(st.sampled_from(["SBD", "sbd", "B"]) | text_cells),
+        **{name: f"{value:.{draw(st.integers(0, 4))}f}" for name, value in kg.items()},
+    }
+    for name in draw(st.lists(st.sampled_from(sorted(kg)), max_size=2)):
+        row[name] = draw(bad_kg_cells)
+    return row
+
+
+policies = st.builds(
+    FilterPolicy,
+    require_raw=st.booleans(),
+    require_open_division=st.booleans(),
+    require_full_event=st.booleans(),
+    sex=st.sampled_from([None, Sex.MALE, Sex.FEMALE]),
+    bodyweight_range=st.sampled_from([None, (40.0, 120.0)]),
+)
+
+
+def write_rows(path: Path, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=REQUIRED_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+class TestIngestProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(csv_rows(), max_size=30), policies)
+    def test_every_row_counted_under_exactly_one_reason(self, rows, policy):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "raw.csv"
+            write_rows(path, rows)
+            entries, stats = parse_csv(path, policy)
+        assert stats.total_rows == len(rows)
+        assert stats.kept == len(entries)
+        assert stats.kept + sum(stats.dropped_by_reason.values()) == stats.total_rows
+        assert all(count > 0 for count in stats.dropped_by_reason.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(csv_rows(), max_size=30), policies)
+    @example(
+        [dict(zip(REQUIRED_COLUMNS, ["M", "Raw", "Open", "SBD", "0.004", "100", "100", "100", "300"]))],
+        FilterPolicy(),
+    )
+    def test_parse_write_parse_is_a_fixed_point(self, rows, policy):
+        with tempfile.TemporaryDirectory() as tmp:
+            raw, first, second = (Path(tmp) / name for name in ("raw.csv", "first.csv", "second.csv"))
+            write_rows(raw, rows)
+            entries, _ = parse_csv(raw, policy)
+            write_normalized_csv(entries, first)
+            reparsed, stats = parse_csv(first, policy)
+            write_normalized_csv(reparsed, second)
+            assert reparsed == entries
+            assert stats.kept == stats.total_rows
+            assert second.read_bytes() == first.read_bytes()
