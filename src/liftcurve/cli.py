@@ -30,14 +30,16 @@ from .diagnostics import (
 )
 from .errors import ConfigError, SchemaError
 from .fit import FitConfig, fit
-from .ingest import FilterPolicy, Sex, parse_csv, write_normalized_csv
+from .ingest import PASSTHROUGH_POLICY, FilterPolicy, Sex, parse_csv, write_normalized_csv
 from .kde import BandwidthMode, fit_kde
-from .models import GrowthParams, from_table_record, parse_family, to_table_record
+from .models import parse_family, to_table_record
 from .resample import ResamplePlan, flatten_resample
 from .scoring import (
+    SYSTEMS,
     ScoreRegistry,
     default_registry,
     drop_unscorable,
+    is_scored_csv,
     read_scored_csv,
     score_dataset,
     write_scored_csv,
@@ -122,7 +124,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     out_dir = _ensure_out_dir(args)
     family = parse_family(args.family)
     bandwidth_mode = BandwidthMode(args.bandwidth)
-    entries, _ = parse_csv(args.input, FilterPolicy())
+    policy = FilterPolicy()
+    entries, _ = parse_csv(args.input, policy)
+    config = FitConfig(family=family, max_iterations=args.max_iterations)
     dataset = "resampled" if args.resample else "original"
 
     plans: dict[str, dict] = {}
@@ -150,7 +154,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
             _json_dump(plan_payload, out_dir / f"resample_plan_{label}.json")
             plans[label] = plan_payload
 
-        config = FitConfig(family=family, max_iterations=args.max_iterations)
         result = fit(
             [e.bodyweight_kg for e in subset],
             [e.total_kg for e in subset],
@@ -180,14 +183,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
         args,
         out_dir,
         {
-            "policy": _policy_payload(FilterPolicy()),
+            "policy": _policy_payload(policy),
             "family": family.value,
             "sex": args.sex,
             "bandwidth_mode": bandwidth_mode.value,
             "resample_plans": plans or None,
             "fit_config": {
-                "max_iterations": args.max_iterations,
-                "tolerance": FitConfig(family=family).tolerance,
+                "max_iterations": config.max_iterations,
+                "tolerance": config.tolerance,
             },
             "seed": args.seed,
         },
@@ -203,32 +206,14 @@ def _load_registry(args: argparse.Namespace) -> ScoreRegistry:
             raise ConfigError("--params FILE is required for --system model")
         with open(args.params, encoding="utf-8") as fh:
             payload = json.load(fh)
-        records = payload if isinstance(payload, list) else [payload]
-        for record in records:
-            if "L_1e2kg" in record:
-                params, sex_tag, _ = from_table_record(record)
-            else:
-                try:
-                    params = GrowthParams(
-                        family=parse_family(record["family"]),
-                        L=float(record["L"]),
-                        k=float(record["k"]),
-                        x0=float(record["x0"]),
-                    )
-                    sex_tag = record["sex"]
-                except KeyError as exc:
-                    raise ConfigError(f"params record missing field {exc.args[0]!r}") from None
-            registry.add_model_params(Sex(sex_tag), params)
+        registry.add_fit_records(payload if isinstance(payload, list) else [payload])
     return registry
 
 
 def cmd_score(args: argparse.Namespace) -> int:
     out_dir = _ensure_out_dir(args)
     registry = _load_registry(args)
-    policy = FilterPolicy(
-        require_raw=False, require_open_division=False, require_full_event=False
-    )
-    entries, _ = parse_csv(args.input, policy)
+    entries, _ = parse_csv(args.input, PASSTHROUGH_POLICY)
     scorable, dropped_by_reason = drop_unscorable(entries, args.system, registry)
     scored = score_dataset(scorable, args.system, registry)
     write_scored_csv(scored, out_dir / "scored.csv")
@@ -252,24 +237,15 @@ def cmd_score(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _split_by_sex(pairs) -> dict[Sex, list]:
-    by_sex: dict[Sex, list] = {}
-    for entry, score in pairs:
-        by_sex.setdefault(entry.sex, []).append((entry, score))
-    return by_sex
-
-
 def cmd_diagnose(args: argparse.Namespace) -> int:
     out_dir = _ensure_out_dir(args)
-    try:
+    # a scored file is read strictly; a normalized one leniently, without scores
+    has_scores = is_scored_csv(args.input)
+    if has_scores:
         scored = read_scored_csv(args.input)
-    except SchemaError:
-        policy = FilterPolicy(
-            require_raw=False, require_open_division=False, require_full_event=False
-        )
-        entries, _ = parse_csv(args.input, policy)
+    else:
+        entries, _ = parse_csv(args.input, PASSTHROUGH_POLICY)
         scored = [(entry, None) for entry in entries]
-    has_scores = bool(scored) and scored[0][1] is not None
 
     summary: dict = {"skewness": {}, "fraction_below": {}}
     for sex in _SEX_ORDER:
@@ -347,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=cmd_fit)
 
     p_score = sub.add_parser("score", parents=[common], help="append a score column")
-    p_score.add_argument("--system", choices=["wilks", "wilks2", "ipf_gl", "model"], required=True)
+    p_score.add_argument("--system", choices=SYSTEMS, required=True)
     p_score.add_argument("--params", default=None, help="growth-params JSON for --system model")
     p_score.set_defaults(func=cmd_score)
 

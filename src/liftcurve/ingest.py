@@ -77,6 +77,11 @@ class FilterPolicy:
                 raise ValueError(f"bodyweight_range needs min < max, got {self.bodyweight_range}")
 
 
+# Keeps any equipment, division and event: for reading back files written
+# from rows that already passed a policy.
+PASSTHROUGH_POLICY = FilterPolicy(require_raw=False, require_open_division=False, require_full_event=False)
+
+
 @dataclass
 class IngestStats:
     total_rows: int
@@ -165,6 +170,23 @@ def _classify_row(row: dict, policy: FilterPolicy) -> LifterEntry | str:
     )
 
 
+def read_rows(path, extra_columns=()):
+    """Yield the rows of a CSV as dicts, after checking its header.
+
+    Raises :class:`SchemaError` if the file is empty or lacks one of
+    :data:`REQUIRED_COLUMNS` or ``extra_columns``.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames
+        if header is None:
+            raise SchemaError(f"{path}: file is empty, expected a header row")
+        missing = [col for col in (*REQUIRED_COLUMNS, *extra_columns) if col not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
+        yield from reader
+
+
 def parse_csv(path, policy: FilterPolicy | None = None) -> tuple[list[LifterEntry], IngestStats]:
     """Parse an OpenPowerlifting-format CSV, returning kept entries and stats.
 
@@ -172,28 +194,35 @@ def parse_csv(path, policy: FilterPolicy | None = None) -> tuple[list[LifterEntr
     problems propagate as :class:`OSError`. Malformed cells never raise --
     the row is dropped and counted.
     """
+    if policy is None:
+        policy = FilterPolicy()
     entries: list[LifterEntry] = []
     dropped: Counter[str] = Counter()
     total_rows = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
-        if header is None:
-            raise SchemaError(f"{path}: file is empty, expected a header row")
-        missing = [col for col in REQUIRED_COLUMNS if col not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
-        if policy is None:
-            policy = FilterPolicy()
-        for row in reader:
-            total_rows += 1
-            outcome = _classify_row(row, policy)
-            if isinstance(outcome, LifterEntry):
-                entries.append(outcome)
-            else:
-                dropped[outcome] += 1
+    for row in read_rows(path):
+        total_rows += 1
+        outcome = _classify_row(row, policy)
+        if isinstance(outcome, LifterEntry):
+            entries.append(outcome)
+        else:
+            dropped[outcome] += 1
     stats = IngestStats(total_rows=total_rows, kept=len(entries), dropped_by_reason=dict(dropped))
     return entries, stats
+
+
+def normalized_cells(entry: LifterEntry) -> list[str]:
+    """The cells of ``entry``'s normalized row, in :data:`REQUIRED_COLUMNS` order."""
+    return [
+        entry.sex.value,
+        entry.equipment,
+        entry.division,
+        entry.event,
+        f"{entry.bodyweight_kg:.2f}",
+        f"{entry.best_squat_kg:.2f}",
+        f"{entry.best_bench_kg:.2f}",
+        f"{entry.best_deadlift_kg:.2f}",
+        f"{entry.total_kg:.2f}",
+    ]
 
 
 def write_normalized_csv(entries, path) -> None:
@@ -201,17 +230,4 @@ def write_normalized_csv(entries, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(REQUIRED_COLUMNS)
-        for e in entries:
-            writer.writerow(
-                [
-                    e.sex.value,
-                    e.equipment,
-                    e.division,
-                    e.event,
-                    f"{e.bodyweight_kg:.2f}",
-                    f"{e.best_squat_kg:.2f}",
-                    f"{e.best_bench_kg:.2f}",
-                    f"{e.best_deadlift_kg:.2f}",
-                    f"{e.total_kg:.2f}",
-                ]
-            )
+        writer.writerows(map(normalized_cells, entries))

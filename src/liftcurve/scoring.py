@@ -29,8 +29,8 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .ingest import REQUIRED_COLUMNS, FilterPolicy, LifterEntry, Sex, _classify_row
-from .models import GrowthParams, evaluate, parse_family
+from .ingest import PASSTHROUGH_POLICY, REQUIRED_COLUMNS, LifterEntry, Sex, _classify_row, normalized_cells, read_rows
+from .models import GrowthParams, evaluate, from_table_record, parse_family
 
 WILKS_DOMAIN_KG = (30.0, 250.0)
 # Published women's Wilks polynomials go non-positive above ~208 kg, so the
@@ -201,6 +201,20 @@ class ScoreRegistry:
         """Register fitted growth params under the "model" system."""
         self._entries[("model", sex)] = params
 
+    def add_fit_records(self, records) -> None:
+        """Register the growth params of ``fit`` output records under "model".
+
+        A record is in table units (``fit_<family>_<sex>_table.json``) or in
+        internal units (``fit_<family>_<sex>.json``: a "model" coefficient
+        record with extra fields).
+        """
+        for record in records:
+            if "L_1e2kg" in record:
+                params, sex, _ = from_table_record(record)
+                self.add_model_params(Sex(sex), params)
+            else:
+                self._add_record({**record, "system": "model"})
+
     def resolve(self, system: str, sex: Sex):
         try:
             return self._entries[(system, sex)]
@@ -329,56 +343,40 @@ def score_dataset(entries, system: str, registry: ScoreRegistry) -> list[tuple[L
     return list(zip(entries, scores.tolist()))
 
 
-# Scored CSV round-trip: normalized entry columns plus Score (3 decimals).
+# Scored CSV: the normalized entry row plus a Score cell (3 decimals).
 
-_PASSTHROUGH_POLICY = FilterPolicy(
-    require_raw=False, require_open_division=False, require_full_event=False
-)
+SCORE_COLUMN = "Score"
+
+
+def is_scored_csv(path) -> bool:
+    """Whether the CSV at ``path`` has a Score column, read from its header alone."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return SCORE_COLUMN in next(csv.reader(fh), [])
 
 
 def write_scored_csv(scored, path) -> None:
     """Write ``(entry, score)`` pairs as a normalized CSV with a Score column."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(REQUIRED_COLUMNS) + ["Score"])
+        writer.writerow([*REQUIRED_COLUMNS, SCORE_COLUMN])
         for entry, score in scored:
-            writer.writerow(
-                [
-                    entry.sex.value,
-                    entry.equipment,
-                    entry.division,
-                    entry.event,
-                    f"{entry.bodyweight_kg:.2f}",
-                    f"{entry.best_squat_kg:.2f}",
-                    f"{entry.best_bench_kg:.2f}",
-                    f"{entry.best_deadlift_kg:.2f}",
-                    f"{entry.total_kg:.2f}",
-                    f"{score:.3f}",
-                ]
-            )
+            writer.writerow([*normalized_cells(entry), f"{score:.3f}"])
 
 
 def read_scored_csv(path) -> list[tuple[LifterEntry, float]]:
     """Read a CSV produced by :func:`write_scored_csv`.
 
     Strict by design: these files are machine-written, so a malformed row
-    raises instead of being silently dropped.
+    raises :class:`SchemaError` naming its line instead of being dropped.
     """
     scored: list[tuple[LifterEntry, float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "Score" not in reader.fieldnames:
-            raise SchemaError(f"{path}: missing required column(s): Score")
-        missing = [col for col in REQUIRED_COLUMNS if col not in reader.fieldnames]
-        if missing:
-            raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
-        for line, row in enumerate(reader, start=2):
-            outcome = _classify_row(row, _PASSTHROUGH_POLICY)
-            if not isinstance(outcome, LifterEntry):
-                raise SchemaError(f"{path}:{line}: invalid entry row ({outcome})")
-            try:
-                score = float(row["Score"])
-            except (TypeError, ValueError):
-                raise SchemaError(f"{path}:{line}: malformed Score cell") from None
-            scored.append((outcome, score))
+    for line, row in enumerate(read_rows(path, (SCORE_COLUMN,)), start=2):
+        outcome = _classify_row(row, PASSTHROUGH_POLICY)
+        if not isinstance(outcome, LifterEntry):
+            raise SchemaError(f"{path}:{line}: invalid entry row ({outcome})")
+        try:
+            score = float(row[SCORE_COLUMN])
+        except (TypeError, ValueError):
+            raise SchemaError(f"{path}:{line}: malformed Score cell") from None
+        scored.append((outcome, score))
     return scored

@@ -1,9 +1,11 @@
+import ast
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from liftcurve import cli
 from liftcurve.cli import main
 from liftcurve.diagnostics import fraction_below, rolling_quantiles, write_quantiles_csv
 from liftcurve.ingest import Sex, parse_csv, write_normalized_csv
@@ -13,6 +15,7 @@ from liftcurve.scoring import default_registry, read_scored_csv, wilks_score
 from synth import flattened_female_xy, logistic_xy, make_entry
 
 FIXTURE = Path(__file__).parent / "data" / "sample20.csv"
+WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
 LOGISTIC_MALE = GrowthParams(ModelFamily.LOGISTIC, 722.3, 0.05447, 53.40)
 
 
@@ -362,6 +365,85 @@ class TestDiagnoseCommand:
         assert code == 0
         assert not (out / "quantiles_M.csv").exists()
         assert "skipping rolling quantiles" in capsys.readouterr().err
+
+    def test_malformed_scored_row_exits_2_naming_its_line(self, tmp_path, capsys):
+        src = tmp_path / "data.csv"
+        write_entries_csv(src, n_per_sex=100, seed=85)
+        scored_dir = tmp_path / "scored"
+        assert main(
+            ["score", "--input", str(src), "--output-dir", str(scored_dir), "--system", "ipf_gl"]
+        ) == 0
+        path = scored_dir / "scored.csv"
+        lines = path.read_bytes().split(b"\r\n")
+        lines[5] = lines[5].rsplit(b",", 1)[0] + b",oops"  # line 6: the 5th data row
+        path.write_bytes(b"\r\n".join(lines))
+        out = tmp_path / "diag"
+        code = main(["diagnose", "--input", str(path), "--output-dir", str(out), "--window", "100"])
+        assert code == 2
+        assert f"error: {path}:6: malformed Score cell" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_normalized_input_is_read_leniently(self, tmp_path):
+        src = tmp_path / "data.csv"
+        write_normalized_csv([make_entry(b, 500.0, sex=Sex.MALE) for b in (50.0, 60.0, 70.0, 80.0)], src)
+        with open(src, "a", encoding="utf-8") as fh:
+            fh.write("M,Raw,Open,SBD,oops,150,150,200,500\r\n")
+        out = tmp_path / "out"
+        assert main(
+            ["diagnose", "--input", str(src), "--output-dir", str(out), "--window", "2", "--below", "65"]
+        ) == 0
+        summary = json.loads((out / "diagnostics_summary.json").read_text())
+        assert summary == {"skewness": {}, "fraction_below": {"65": {"M": 0.5}}}
+        assert not (out / "quantiles_M.csv").exists()
+
+
+def cli_patch_names() -> list[str]:
+    """The keys of ``CLI_PATCHES`` in the benchmark's workloads, read without importing it."""
+    for node in ast.parse(WORKLOADS.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["CLI_PATCHES"]:
+            return [ast.literal_eval(key) for key in node.value.keys]
+    raise AssertionError(f"no CLI_PATCHES in {WORKLOADS}")
+
+
+class TestBenchmarkPatchPoints:
+    """The benchmark wraps these ``liftcurve.cli`` globals in spans."""
+
+    def test_every_patched_name_is_a_cli_attribute(self):
+        names = cli_patch_names()
+        assert names
+        assert [name for name in names if not callable(getattr(cli, name, None))] == []
+
+    def test_commands_call_every_patched_name_through_module_globals(self, tmp_path, monkeypatch):
+        called = set()
+        for name in cli_patch_names():
+
+            def wrapper(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                called.add(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+        src = tmp_path / "data.csv"
+        write_entries_csv(src, n_per_sex=200, seed=87)
+        work = tmp_path / "work"
+        normalized = str(work / "normalized.csv")
+        assert main(["ingest", "--input", str(src), "--output-dir", str(work)]) == 0
+        assert main(["fit", "--input", normalized, "--output-dir", str(work), "--family", "logistic"]) == 0
+        params = tmp_path / "params.json"
+        records = [json.loads((work / f"fit_logistic_{sex}.json").read_text()) for sex in ("F", "M")]
+        params.write_text(json.dumps(records))
+        assert main(
+            [
+                "score", "--input", normalized, "--output-dir", str(work),
+                "--system", "model", "--params", str(params),
+            ]
+        ) == 0
+        assert main(
+            [
+                "diagnose", "--input", str(work / "scored.csv"), "--output-dir", str(work),
+                "--myriad", "--window", "50", "--below", "60",
+            ]
+        ) == 0
+        assert sorted(called) == sorted(cli_patch_names())
 
 
 class TestPipelineDeterminism:

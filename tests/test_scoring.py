@@ -1,14 +1,18 @@
+import csv
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftcurve.errors import ConfigError
-from liftcurve.ingest import Sex
-from liftcurve.models import GrowthParams, ModelFamily, evaluate
+from liftcurve.errors import ConfigError, SchemaError
+from liftcurve.ingest import LifterEntry, Sex, write_normalized_csv
+from liftcurve.models import GrowthParams, ModelFamily, evaluate, from_table_record, to_table_record
 from liftcurve.scoring import (
     GlCoefficients,
     ScoreRegistry,
@@ -366,3 +370,89 @@ def test_scored_csv_round_trip(tmp_path):
     assert [e for e, _ in back] == entries
     for (_, original), (_, reread) in zip(scored, back):
         assert reread == pytest.approx(original, abs=5e-4)  # 3-decimal rounding
+
+
+def read_csv_rows(path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+text_cells = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8)
+kg_values = st.floats(0.0, 2000.0)
+scored_pairs = st.lists(
+    st.tuples(
+        st.builds(
+            LifterEntry,
+            sex=st.sampled_from(Sex),
+            bodyweight_kg=kg_values,
+            best_squat_kg=kg_values,
+            best_bench_kg=kg_values,
+            best_deadlift_kg=kg_values,
+            total_kg=kg_values,
+            equipment=text_cells,
+            division=text_cells,
+            event=text_cells,
+        ),
+        st.floats(),
+    ),
+    max_size=20,
+)
+
+
+class TestScoredCsvFormat:
+    """A scored CSV row is the normalized row of its entry plus a Score cell."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(scored_pairs)
+    def test_scored_row_is_normalized_row_plus_score(self, scored):
+        with tempfile.TemporaryDirectory() as tmp:
+            normalized_path, scored_path = Path(tmp) / "normalized.csv", Path(tmp) / "scored.csv"
+            write_normalized_csv([entry for entry, _ in scored], normalized_path)
+            write_scored_csv(scored, scored_path)
+            normalized = read_csv_rows(normalized_path)
+            want = [normalized[0] + ["Score"]]
+            want += [row + [f"{score:.3f}"] for row, (_, score) in zip(normalized[1:], scored)]
+            assert read_csv_rows(scored_path) == want
+
+    @pytest.mark.parametrize(
+        "column, cell, message",
+        [
+            ("BodyweightKg", "oops", "invalid entry row (bodyweight)"),
+            ("Sex", "X", "invalid entry row (sex)"),
+            ("Score", "oops", "malformed Score cell"),
+            ("Score", "", "malformed Score cell"),
+        ],
+    )
+    def test_bad_row_raises_naming_its_line(self, tmp_path, column, cell, message):
+        path = tmp_path / "scored.csv"
+        entries = [make_entry(93.0, 700.0), make_entry(74.0, 560.0), make_entry(120.0, 800.0)]
+        write_scored_csv(score_dataset(entries, "ipf_gl", default_registry()), path)
+        rows = read_csv_rows(path)
+        rows[2][rows[0].index(column)] = cell  # line 3: the second data row
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:3: {message}")):
+            read_scored_csv(path)
+
+    def test_missing_score_column_is_schema_error(self, tmp_path):
+        path = tmp_path / "normalized.csv"
+        write_normalized_csv([make_entry(93.0, 700.0)], path)
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: missing required column(s): Score")):
+            read_scored_csv(path)
+
+
+class TestFitRecords:
+    def test_table_and_internal_layouts(self):
+        vb = GrowthParams(ModelFamily.VON_BERTALANFFY, 600.0, 0.03, 40.0)
+        table = to_table_record(LOGISTIC_MALE_RESAMPLED, "M", "resampled", sig_figs=4)
+        internal = {"sex": "F", "dataset": "original", "family": "von_bertalanffy", "L": 600.0, "k": 0.03,
+                    "x0": 40.0, "sse": 1.5, "converged": True}
+        registry = ScoreRegistry()
+        registry.add_fit_records([table, internal])
+        assert registry.resolve("model", Sex.MALE) == from_table_record(table)[0]
+        assert registry.resolve("model", Sex.FEMALE) == vb
+
+    def test_internal_record_missing_field_is_config_error(self):
+        registry = ScoreRegistry()
+        with pytest.raises(ConfigError, match="model/M: invalid growth params: 'k'"):
+            registry.add_fit_records([{"sex": "M", "family": "logistic", "L": 700.0, "x0": 50.0}])
