@@ -12,7 +12,8 @@ Run:  python demos/03_curve_fitting.py
 
 import numpy as np
 
-from liftcurve import FitConfig, GrowthParams, ModelFamily, auto_init, evaluate, fit
+from liftcurve import FitConfig, GrowthParams, ModelFamily, auto_init, evaluate
+from liftcurve.fit import fit
 
 rng = np.random.Generator(np.random.Philox(key=5))
 truth = GrowthParams(ModelFamily.LOGISTIC, L=722.3, k=0.05447, x0=53.4)

@@ -23,7 +23,6 @@ from liftcurve import (
     ResamplePlan,
     Sex,
     evaluate,
-    fit,
     fit_kde,
     flatten_resample,
     fraction_below,
@@ -33,6 +32,7 @@ from liftcurve import (
     to_table_record,
     write_normalized_csv,
 )
+from liftcurve.fit import fit
 from liftcurve.ingest import LifterEntry
 
 workdir = Path(tempfile.mkdtemp(prefix="liftcurve_demo_"))

@@ -1,5 +1,10 @@
 """Bodyweight-to-strength growth curves, KDE inverse-density resampling,
-and powerlifting score diagnostics."""
+and powerlifting score diagnostics.
+
+The functions ``fit.fit`` and ``resample.resample`` are not re-exported
+here, so that ``liftcurve.fit`` and ``liftcurve.resample`` name their
+modules: use ``from liftcurve.fit import fit``.
+"""
 
 from .diagnostics import (
     MyriadBins,
@@ -11,7 +16,7 @@ from .diagnostics import (
     score_distribution,
 )
 from .errors import ConfigError, SchemaError
-from .fit import FitConfig, FitResult, auto_init, fit
+from .fit import FitConfig, FitResult, auto_init
 from .ingest import FilterPolicy, IngestStats, LifterEntry, Sex, parse_csv, write_normalized_csv
 from .kde import BandwidthMode, KdeModel, density, density_batch, fit_kde, scott_bandwidth
 from .models import (
@@ -27,7 +32,7 @@ from .models import (
     second_derivative,
     to_table_record,
 )
-from .resample import ResamplePlan, compute_weights, flatten_resample, resample, resolve_plan
+from .resample import ResamplePlan, compute_weights, flatten_resample, resolve_plan
 from .scoring import (
     GlCoefficients,
     ScoreRegistry,
@@ -69,7 +74,6 @@ __all__ = [
     "density_batch",
     "evaluate",
     "first_derivative",
-    "fit",
     "fit_kde",
     "flatten_resample",
     "fraction_below",
@@ -81,7 +85,6 @@ __all__ = [
     "param_gradient",
     "parse_csv",
     "parse_family",
-    "resample",
     "resolve_plan",
     "rolling_quantiles",
     "score_dataset",

@@ -7,6 +7,13 @@ number, so any non-positive best lift drops the row.
 
 All kg values are normalised to 2 decimals at parse time, which makes
 ``parse -> write_normalized_csv -> parse`` a fixed point.
+
+Files are read by column, a block of rows at a time (:func:`read_blocks`):
+each kg column is parsed in one ``map(float)`` pass, each row gets its drop
+reason from numpy masks, and entries are built only for the rows kept.
+Blank lines are skipped, cells missing from a short row read as empty and
+a repeated column name takes its last occurrence, as with
+:class:`csv.DictReader`.
 """
 
 from __future__ import annotations
@@ -14,8 +21,12 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, islice
+from operator import itemgetter
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import SchemaError
 
@@ -35,14 +46,33 @@ REQUIRED_COLUMNS = (
 # further than this from the sum of best lifts are treated as corrupt.
 TOTAL_SLACK_KG = 0.5
 
+# Each dropped row is counted under the first of these that applies.
+DROP_REASONS = (
+    "sex",
+    "equipment",
+    "division",
+    "event",
+    "bodyweight",
+    "missing_lift",
+    "missing_total",
+    "inconsistent_total",
+    "bodyweight_range",
+)
+
+# Rows per block: bounds the memory held in raw cells while reading. On
+# 60k-row files 2,048 read about 15 % faster than 8,192.
+_BLOCK_ROWS = 2048
+
 
 class Sex(enum.Enum):
     FEMALE = "F"
     MALE = "M"
 
 
-@dataclass(frozen=True)
-class LifterEntry:
+_SEX_BY_CODE = {sex.value: sex for sex in Sex}
+
+
+class LifterEntry(NamedTuple):
     """One competition result (per-result, not per-athlete)."""
 
     sex: Sex
@@ -89,102 +119,109 @@ class IngestStats:
     dropped_by_reason: dict[str, int]
 
 
-def _parse_kg(cell: str | None) -> float | None:
-    """Positive kg value rounded to 2 decimals, or None if missing/invalid.
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell.strip())
+    except ValueError:
+        return math.nan
+
+
+def _kg_column(cells) -> np.ndarray:
+    """Positive kg values rounded to 2 decimals, NaN where missing or invalid.
 
     Positivity is checked after rounding, so a value that rounds to 0.00 kg
-    is dropped here rather than kept and then dropped on a re-parse.
+    is invalid here rather than kept and then dropped on a re-parse.
     """
-    if cell is None:
-        return None
-    text = cell.strip()
-    if not text:
-        return None
     try:
-        value = float(text)
+        x = np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
-        return None
-    value = round(value, 2)
-    if not math.isfinite(value) or value <= 0:
-        return None
-    return value
+        x = np.fromiter(map(_float_or_nan, cells), float, len(cells))
+    # np.round leaves a value unchanged only where it already is the nearest
+    # double to a 2-decimal number, which Python's correctly rounded round()
+    # leaves unchanged too; the other values go through round()
+    with np.errstate(over="ignore", invalid="ignore"):
+        inexact = np.flatnonzero(np.round(x, 2) != x)
+    x[inexact] = [round(value, 2) for value in x[inexact].tolist()]
+    return np.where(np.isfinite(x) & (x > 0), x, np.nan)
 
 
-def _classify_row(row: dict, policy: FilterPolicy) -> LifterEntry | str:
-    """Return a LifterEntry for a kept row, or the drop-reason string.
+def _fails(cells, test) -> np.ndarray:
+    """Mask of the cells whose stripped text fails ``test``, tested once per distinct cell."""
+    failing = {cell: not test(cell.strip()) for cell in set(cells)}
+    return np.fromiter(map(failing.__getitem__, cells), bool, len(cells))
 
-    Checks run in a fixed order (policy filters, then numeric validity,
-    then consistency) so each row is counted under exactly one reason.
+
+def _classify_block(columns, policy: FilterPolicy) -> tuple[np.ndarray, list[LifterEntry]]:
+    """Drop-reason codes of a block's rows and the entries of the rows kept.
+
+    ``columns`` holds the cells of :data:`REQUIRED_COLUMNS`. A code indexes
+    :data:`DROP_REASONS`, -1 for a kept row; each row gets the first reason
+    that applies, so it is counted under exactly one.
     """
-    sex_cell = (row.get("Sex") or "").strip().upper()
-    try:
-        sex = Sex(sex_cell)
-    except ValueError:
-        return "sex"
-    if policy.sex is not None and sex is not policy.sex:
-        return "sex"
-
-    equipment = (row.get("Equipment") or "").strip()
-    if policy.require_raw and equipment.lower() != "raw":
-        return "equipment"
-
-    division = (row.get("Division") or "").strip()
-    if policy.require_open_division and "open" not in division.lower():
-        return "division"
-
-    event = (row.get("Event") or "").strip()
-    if policy.require_full_event and event.upper() != "SBD":
-        return "event"
-
-    bodyweight = _parse_kg(row.get("BodyweightKg"))
-    if bodyweight is None:
-        return "bodyweight"
-
-    squat = _parse_kg(row.get("Best3SquatKg"))
-    bench = _parse_kg(row.get("Best3BenchKg"))
-    deadlift = _parse_kg(row.get("Best3DeadliftKg"))
-    if squat is None or bench is None or deadlift is None:
-        return "missing_lift"
-
-    total = _parse_kg(row.get("TotalKg"))
-    if total is None:
-        return "missing_total"
-    if abs(total - (squat + bench + deadlift)) > TOTAL_SLACK_KG:
-        return "inconsistent_total"
-
-    if policy.bodyweight_range is not None:
+    sex, equipment, division, event = columns[:4]
+    bodyweight, squat, bench, deadlift, total = map(_kg_column, columns[4:])
+    never = np.zeros(len(sex), dtype=bool)
+    sexes = tuple(Sex) if policy.sex is None else (policy.sex,)
+    if policy.bodyweight_range is None:
+        out_of_range = never
+    else:
         lo, hi = policy.bodyweight_range
-        if not lo <= bodyweight <= hi:
-            return "bodyweight_range"
-
-    return LifterEntry(
-        sex=sex,
-        bodyweight_kg=bodyweight,
-        best_squat_kg=squat,
-        best_bench_kg=bench,
-        best_deadlift_kg=deadlift,
-        total_kg=total,
-        equipment=equipment,
-        division=division,
-        event=event,
+        out_of_range = ~((lo <= bodyweight) & (bodyweight <= hi))
+    with np.errstate(over="ignore"):  # a lift sum past the double range is inconsistent, as in Python
+        lift_sum = squat + bench + deadlift
+    conditions = [
+        _fails(sex, lambda text: _SEX_BY_CODE.get(text.upper()) in sexes),
+        _fails(equipment, lambda text: text.lower() == "raw") if policy.require_raw else never,
+        _fails(division, lambda text: "open" in text.lower()) if policy.require_open_division else never,
+        _fails(event, lambda text: text.upper() == "SBD") if policy.require_full_event else never,
+        np.isnan(bodyweight),
+        np.isnan(squat) | np.isnan(bench) | np.isnan(deadlift),
+        np.isnan(total),
+        np.abs(total - lift_sum) > TOTAL_SLACK_KG,
+        out_of_range,
+    ]
+    reasons = np.select(conditions, list(range(len(DROP_REASONS))), -1)
+    kept = reasons < 0
+    mask = kept.tolist()
+    fields = zip(
+        map(_SEX_BY_CODE.__getitem__, map(str.upper, map(str.strip, compress(sex, mask)))),
+        *(column[kept].tolist() for column in (bodyweight, squat, bench, deadlift, total)),
+        *(map(str.strip, compress(cells, mask)) for cells in (equipment, division, event)),
     )
+    return reasons, list(map(LifterEntry._make, fields))
 
 
-def read_rows(path, extra_columns=()):
-    """Yield the rows of a CSV as dicts, after checking its header.
+def read_blocks(path, policy: FilterPolicy, extra_columns=()):
+    """Read the CSV at ``path`` in blocks of rows, after checking its header.
 
-    Raises :class:`SchemaError` if the file is empty or lacks one of
-    :data:`REQUIRED_COLUMNS` or ``extra_columns``.
+    Yields ``(reasons, entries, extra)`` per block: the drop-reason code of
+    each row (an index into :data:`DROP_REASONS`, -1 for a kept row), the
+    entries of the kept rows under ``policy``, and the cells of each of
+    ``extra_columns``. Raises :class:`SchemaError` if the file is empty or
+    lacks one of :data:`REQUIRED_COLUMNS` or ``extra_columns``.
     """
+    names = (*REQUIRED_COLUMNS, *extra_columns)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
+        reader = csv.reader(fh)
+        header = next(reader, None)
         if header is None:
             raise SchemaError(f"{path}: file is empty, expected a header row")
-        missing = [col for col in (*REQUIRED_COLUMNS, *extra_columns) if col not in header]
+        missing = [col for col in names if col not in header]
         if missing:
             raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
-        yield from reader
+        # a repeated name maps to its last occurrence
+        position = {name: i for i, name in enumerate(header)}
+        cells_of = itemgetter(*(position[name] for name in names))
+        width = max(map(position.__getitem__, names)) + 1
+        while block := list(islice(reader, _BLOCK_ROWS)):
+            rows = list(filter(None, block))
+            if not rows:
+                continue
+            if min(map(len, rows)) < width:
+                rows = [row + [""] * (width - len(row)) for row in rows]
+            columns = list(zip(*map(cells_of, rows)))
+            reasons, entries = _classify_block(columns[: len(REQUIRED_COLUMNS)], policy)
+            yield reasons, entries, columns[len(REQUIRED_COLUMNS) :]
 
 
 def parse_csv(path, policy: FilterPolicy | None = None) -> tuple[list[LifterEntry], IngestStats]:
@@ -192,21 +229,21 @@ def parse_csv(path, policy: FilterPolicy | None = None) -> tuple[list[LifterEntr
 
     Raises :class:`SchemaError` if a required column is absent; I/O
     problems propagate as :class:`OSError`. Malformed cells never raise --
-    the row is dropped and counted.
+    the row is dropped and counted. Reasons are listed in order of first
+    occurrence.
     """
     if policy is None:
         policy = FilterPolicy()
     entries: list[LifterEntry] = []
-    dropped: Counter[str] = Counter()
+    dropped: dict[str, int] = {}
     total_rows = 0
-    for row in read_rows(path):
-        total_rows += 1
-        outcome = _classify_row(row, policy)
-        if isinstance(outcome, LifterEntry):
-            entries.append(outcome)
-        else:
-            dropped[outcome] += 1
-    stats = IngestStats(total_rows=total_rows, kept=len(entries), dropped_by_reason=dict(dropped))
+    for reasons, kept, _ in read_blocks(path, policy):
+        total_rows += reasons.size
+        entries += kept
+        for code in dict.fromkeys(reasons[reasons >= 0].tolist()):
+            name = DROP_REASONS[code]
+            dropped[name] = dropped.get(name, 0) + int(np.count_nonzero(reasons == code))
+    stats = IngestStats(total_rows=total_rows, kept=len(entries), dropped_by_reason=dropped)
     return entries, stats
 
 

@@ -104,10 +104,7 @@ def resample(entries, weights, plan: ResamplePlan) -> list[LifterEntry]:
     while bad.any():
         jittered[bad] = base[bad] + rng.normal(0.0, plan.jitter_std_kg, int(bad.sum()))
         bad = jittered <= 0
-    return [
-        replace(entries[i], bodyweight_kg=float(bw))
-        for i, bw in zip(idx, jittered)
-    ]
+    return [entries[i]._replace(bodyweight_kg=bw) for i, bw in zip(idx.tolist(), jittered.tolist())]
 
 
 def flatten_resample(entries, kde: KdeModel, plan: ResamplePlan) -> tuple[list[LifterEntry], ResamplePlan]:

@@ -29,7 +29,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .ingest import PASSTHROUGH_POLICY, REQUIRED_COLUMNS, LifterEntry, Sex, _classify_row, normalized_cells, read_rows
+from .ingest import DROP_REASONS, PASSTHROUGH_POLICY, REQUIRED_COLUMNS, LifterEntry, Sex, normalized_cells, read_blocks
 from .models import GrowthParams, evaluate, from_table_record, parse_family
 
 WILKS_DOMAIN_KG = (30.0, 250.0)
@@ -366,17 +366,26 @@ def write_scored_csv(scored, path) -> None:
 def read_scored_csv(path) -> list[tuple[LifterEntry, float]]:
     """Read a CSV produced by :func:`write_scored_csv`.
 
-    Strict by design: these files are machine-written, so a malformed row
-    raises :class:`SchemaError` naming its line instead of being dropped.
+    Strict by design: these files are machine-written, so the first
+    malformed row raises :class:`SchemaError` naming its line (the header is
+    line 1) instead of being dropped.
     """
     scored: list[tuple[LifterEntry, float]] = []
-    for line, row in enumerate(read_rows(path, (SCORE_COLUMN,)), start=2):
-        outcome = _classify_row(row, PASSTHROUGH_POLICY)
-        if not isinstance(outcome, LifterEntry):
-            raise SchemaError(f"{path}:{line}: invalid entry row ({outcome})")
+    line = 2
+    for reasons, entries, (score_cells,) in read_blocks(path, PASSTHROUGH_POLICY, (SCORE_COLUMN,)):
         try:
-            score = float(row[SCORE_COLUMN])
-        except (TypeError, ValueError):
-            raise SchemaError(f"{path}:{line}: malformed Score cell") from None
-        scored.append((outcome, score))
+            scores = list(map(float, score_cells))
+        except ValueError:
+            scores = None
+        if scores is None or len(entries) < len(score_cells):
+            # find the first bad row of the block
+            for offset, (reason, cell) in enumerate(zip(reasons.tolist(), score_cells)):
+                if reason >= 0:
+                    raise SchemaError(f"{path}:{line + offset}: invalid entry row ({DROP_REASONS[reason]})")
+                try:
+                    float(cell)
+                except ValueError:
+                    raise SchemaError(f"{path}:{line + offset}: malformed Score cell") from None
+        scored += zip(entries, scores)
+        line += len(score_cells)
     return scored

@@ -1,13 +1,18 @@
 import csv
+import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import row_reference
+from liftcurve import ingest
 from liftcurve.errors import SchemaError
 from liftcurve.ingest import (
+    PASSTHROUGH_POLICY,
     REQUIRED_COLUMNS,
     FilterPolicy,
     LifterEntry,
@@ -68,6 +73,14 @@ class TestFixtureParsing:
         entries, _ = parse_csv(FIXTURE)
         slack = [e for e in entries if e.total_kg == 515.4]
         assert len(slack) == 1
+
+    def test_entry_is_an_immutable_tuple(self):
+        entries, _ = parse_csv(FIXTURE)
+        first = entries[0]
+        assert tuple(first) == (Sex.MALE, 93.0, 250.0, 160.0, 290.0, 700.0, "Raw", "Open", "SBD")
+        with pytest.raises(AttributeError):
+            first.bodyweight_kg = 80.0
+        assert first._replace(bodyweight_kg=80.0).bodyweight_kg == 80.0
 
     def test_case_variants_pass_filters(self):
         entries, _ = parse_csv(FIXTURE)
@@ -234,3 +247,92 @@ class TestIngestProperties:
             assert reparsed == entries
             assert stats.kept == stats.total_rows
             assert second.read_bytes() == first.read_bytes()
+
+
+# Raw files for the block reader: any column order, extra and repeated
+# columns (a repeated name reads its last occurrence), short rows and blank
+# lines, and kg cells at rounding ties, out of range, with underscores or
+# padded with whitespace.
+tricky_kg_cells = st.sampled_from(
+    ["0.005", "0.0050", "0.004", "2.675", "2.6750", "1.005", "55.555", "1.0049", "1e300", "1e400", "1_000",
+     " 93.5 ", "\t7.125", "\x1c12.5\x1c", "-0.004", "nan", "-inf", "1e-320"]
+)
+
+
+@st.composite
+def raw_files(draw):
+    names = list(REQUIRED_COLUMNS) + draw(
+        st.lists(st.sampled_from(["Name", "Federation", *REQUIRED_COLUMNS]), max_size=3)
+    )
+    header = draw(st.permutations(names))
+    last = {name: i for i, name in enumerate(header)}
+    lines = []
+    for row in draw(st.lists(csv_rows(), max_size=25)):
+        for name in draw(st.lists(st.sampled_from(REQUIRED_COLUMNS[4:]), max_size=2)):
+            row[name] = draw(tricky_kg_cells)
+        cells = [
+            row[name] if last.get(name) == i and name in row else draw(tricky_kg_cells | text_cells)
+            for i, name in enumerate(header)
+        ]
+        if draw(st.booleans()):
+            cells = cells[: draw(st.integers(1, len(cells)))]
+        lines.append(cells)
+        if draw(st.integers(0, 5)) == 0:
+            lines.append([])  # csv.writer writes an empty list as a blank line
+    return header, lines
+
+
+class TestBlockReaderMatchesRowReference:
+    """``parse_csv`` equals the per-row ``csv.DictReader`` reference in ``row_reference``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_files(), policies, st.sampled_from([1, 2, 3, 7, 2048]))
+    @example(
+        (list(REQUIRED_COLUMNS), [["M", "Raw", "Open", "SBD", "0.005", "2.675", "1.005", "1e300", "1_000"]]),
+        FilterPolicy(),
+        1,
+    )
+    @example(  # the lift sum overflows to inf
+        (list(REQUIRED_COLUMNS), [["M", "Raw", "Open", "SBD", "90", "1e308", "1e308", "1e308", "1e308"]]),
+        FilterPolicy(),
+        1,
+    )
+    @example(  # a short row reads its missing Event cell as empty
+        (
+            [*REQUIRED_COLUMNS[:3], *REQUIRED_COLUMNS[4:], "Event"],
+            [["M", "Raw", "Open", "90", "100", "80", "120", "300"]],
+        ),
+        PASSTHROUGH_POLICY,
+        1,
+    )
+    def test_same_entries_and_counts(self, raw, policy, block_rows):
+        header, lines = raw
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "raw.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([header, *lines])
+            with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+                entries, stats = parse_csv(path, policy)
+            want_entries, want_stats = row_reference.parse_csv(path, policy)
+        assert entries == want_entries
+        assert [type(value) for entry in entries for value in entry] == [
+            type(value) for entry in want_entries for value in entry
+        ]
+        assert stats.total_rows == want_stats.total_rows
+        assert stats.kept == want_stats.kept
+        assert list(stats.dropped_by_reason.items()) == list(want_stats.dropped_by_reason.items())
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "file is empty, expected a header row"),
+            ("\nM,Raw\n", "missing required column(s): Sex, Equipment"),
+            ("Sex,Equipment,Event\nM,Raw,SBD\n", "missing required column(s): Division, BodyweightKg"),
+        ],
+    )
+    def test_same_header_errors(self, tmp_path, text, message):
+        path = tmp_path / "raw.csv"
+        path.write_text(text)
+        for parse in (parse_csv, row_reference.parse_csv):
+            with pytest.raises(SchemaError, match=re.escape(f"{path}: {message}")):
+                parse(path)

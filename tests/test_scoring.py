@@ -4,12 +4,15 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import row_reference
+from liftcurve import ingest
 from liftcurve.errors import ConfigError, SchemaError
 from liftcurve.ingest import LifterEntry, Sex, write_normalized_csv
 from liftcurve.models import GrowthParams, ModelFamily, evaluate, from_table_record, to_table_record
@@ -439,6 +442,72 @@ class TestScoredCsvFormat:
         write_normalized_csv([make_entry(93.0, 700.0)], path)
         with pytest.raises(SchemaError, match=re.escape(f"{path}: missing required column(s): Score")):
             read_scored_csv(path)
+
+
+
+def write_corrupted_scored_csv(path, corrupt) -> None:
+    """Ten scored rows (lines 2-11), with ``(line, column, cell)`` replacements."""
+    entries = [make_entry(60.0 + i, 400.0 + i, Sex.MALE if i % 2 else Sex.FEMALE) for i in range(10)]
+    write_scored_csv(score_dataset(entries, "ipf_gl", default_registry()), path)
+    rows = read_csv_rows(path)
+    for line, column, cell in corrupt:
+        rows[line - 1][rows[0].index(column)] = cell
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def read_or_error(read, path):
+    try:
+        return read(path)
+    except SchemaError as exc:
+        return str(exc)
+
+
+class TestReadScoredCsvBlocks:
+    """With blocks of 4 rows, lines 2-5, 6-9 and 10-11 fall in three blocks."""
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            ([(7, "Score", "oops")], "7: malformed Score cell"),
+            ([(7, "Sex", "X")], "7: invalid entry row (sex)"),
+            ([(7, "Score", ""), (10, "TotalKg", "")], "7: malformed Score cell"),
+            ([(10, "Score", ""), (7, "TotalKg", "")], "7: invalid entry row (missing_total)"),
+            ([(7, "Score", "x"), (8, "Sex", "X")], "7: malformed Score cell"),
+            ([(7, "Sex", "X"), (8, "Score", "x")], "7: invalid entry row (sex)"),
+            ([(7, "Sex", "X"), (7, "Score", "x")], "7: invalid entry row (sex)"),
+            ([(3, "Score", "x"), (7, "Sex", "X")], "3: malformed Score cell"),
+        ],
+    )
+    def test_first_bad_row_in_file_order_names_its_line(self, tmp_path, corrupt, message):
+        path = tmp_path / "scored.csv"
+        write_corrupted_scored_csv(path, corrupt)
+        with mock.patch.object(ingest, "_BLOCK_ROWS", 4):
+            with pytest.raises(SchemaError, match=re.escape(f"{path}:{message}")):
+                read_scored_csv(path)
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:{message}")):
+            row_reference.read_scored_csv(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(2, 11),
+                st.sampled_from(["Sex", "BodyweightKg", "Best3BenchKg", "TotalKg", "Score"]),
+                st.sampled_from(["", "x", "nan", "-5", " 1_0 ", "1e400", "F", "0.004"]),
+            ),
+            max_size=3,
+        ),
+        st.sampled_from([1, 3, 4, 2048]),
+    )
+    def test_same_result_as_row_reference(self, corrupt, block_rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scored.csv"
+            write_corrupted_scored_csv(path, corrupt)
+            with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+                got = read_or_error(read_scored_csv, path)
+            want = read_or_error(row_reference.read_scored_csv, path)
+        assert repr(got) == repr(want)  # a "nan" Score cell reads as NaN, which == would reject
 
 
 class TestFitRecords:
