@@ -220,25 +220,36 @@ def fraction_below(bodyweight_kg, threshold_kg: float) -> float:
 
 # Tidy CSV exports (one row per bin / window position).
 
+_WRITE_ROWS = 4096
+
+
+def _write_columns(writer, *columns) -> None:
+    """Write equal-length columns as rows, a block of rows at a time.
+
+    ``csv`` writes a float as its repr, and ``tolist`` keeps integer counts
+    as ints; blocks keep the Python copies of the columns small.
+    """
+    for i in range(0, len(columns[0]), _WRITE_ROWS):
+        writer.writerows(zip(*(column[i : i + _WRITE_ROWS].tolist() for column in columns)))
+
+
 def write_myriad_csv(bins: MyriadBins, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mean_bodyweight_kg", "mean_total_kg", "count"])
-        for bw, total, count in zip(bins.mean_bodyweight_kg, bins.mean_total_kg, bins.counts):
-            writer.writerow([repr(float(bw)), repr(float(total)), int(count)])
+        _write_columns(writer, bins.mean_bodyweight_kg, bins.mean_total_kg, bins.counts)
 
 
 def write_quantiles_csv(rq: RollingQuantiles, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["center_bodyweight_kg"] + [f"q{level:g}" for level in rq.levels])
-        for center, row in zip(rq.center_bodyweight_kg, rq.values):
-            writer.writerow([repr(float(center))] + [repr(float(v)) for v in row])
+        _write_columns(writer, rq.center_bodyweight_kg, *rq.values.T)
 
 
 def write_distribution_csv(dist: ScoreDistribution, path) -> None:
+    edges = dist.histogram_edges
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_left", "bin_right", "count"])
-        for left, right, count in zip(dist.histogram_edges[:-1], dist.histogram_edges[1:], dist.histogram_counts):
-            writer.writerow([repr(float(left)), repr(float(right)), int(count)])
+        _write_columns(writer, edges[:-1], edges[1:], dist.histogram_counts)

@@ -367,11 +367,10 @@ def read_scored_csv(path) -> list[tuple[LifterEntry, float]]:
     """Read a CSV produced by :func:`write_scored_csv`.
 
     Strict by design: these files are machine-written, so the first
-    malformed row raises :class:`SchemaError` naming its line (the header is
-    line 1) instead of being dropped.
+    malformed row raises :class:`SchemaError` naming the physical line on
+    which it starts (the header is line 1) instead of being dropped.
     """
     scored: list[tuple[LifterEntry, float]] = []
-    line = 2
     for reasons, entries, (score_cells,) in read_blocks(path, PASSTHROUGH_POLICY, (SCORE_COLUMN,)):
         try:
             scores = list(map(float, score_cells))
@@ -381,11 +380,29 @@ def read_scored_csv(path) -> list[tuple[LifterEntry, float]]:
             # find the first bad row of the block
             for offset, (reason, cell) in enumerate(zip(reasons.tolist(), score_cells)):
                 if reason >= 0:
-                    raise SchemaError(f"{path}:{line + offset}: invalid entry row ({DROP_REASONS[reason]})")
+                    raise _row_error(path, len(scored) + offset, f"invalid entry row ({DROP_REASONS[reason]})")
                 try:
                     float(cell)
                 except ValueError:
-                    raise SchemaError(f"{path}:{line + offset}: malformed Score cell") from None
+                    raise _row_error(path, len(scored) + offset, "malformed Score cell") from None
         scored += zip(entries, scores)
-        line += len(score_cells)
     return scored
+
+
+def _row_error(path, record: int, problem: str) -> SchemaError:
+    """``problem`` at data row ``record`` (0-based, blank lines skipped), named by the line it starts on.
+
+    Re-reads the file, so only the error path pays for counting physical
+    lines; a blank line or a quoted cell holding a newline moves them.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                if record == 0:
+                    break
+                record -= 1
+            start = reader.line_num + 1
+    return SchemaError(f"{path}:{start}: {problem}")

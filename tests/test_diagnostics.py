@@ -1,3 +1,7 @@
+import csv
+import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,6 +12,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from liftcurve import diagnostics
 from liftcurve.diagnostics import (
+    MyriadBins,
+    RollingQuantiles,
+    ScoreDistribution,
     fraction_below,
     myriad_averages,
     rolling_quantiles,
@@ -295,3 +302,74 @@ class TestCsvExports:
         assert lines[0] == "bin_left,bin_right,count"
         counts = [int(line.rsplit(",", 1)[1]) for line in lines[1:]]
         assert sum(counts) == 1_000
+
+
+def write_rows_reference(path, header, rows) -> None:
+    """One ``writerow`` per row, floats as ``repr`` strings: the bytes every export must keep."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cell if isinstance(cell, int) else repr(float(cell)) for cell in row])
+
+
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, -1e-300, 5e-324, 1.7976931348623157e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+big_counts = st.one_of(st.sampled_from([0, 1, 2**31, 2**53 + 1, 2**63 - 1]), st.integers(0, 2**63 - 1))
+
+
+class TestCsvExportBytes:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(edge_floats, edge_floats, big_counts), max_size=6))
+    def test_myriad_csv(self, rows):
+        bins = MyriadBins(
+            group_size=2,
+            mean_bodyweight_kg=np.array([r[0] for r in rows], dtype=float),
+            mean_total_kg=np.array([r[1] for r in rows], dtype=float),
+            counts=np.array([r[2] for r in rows], dtype=np.int64),
+        )
+        self.assert_same_bytes(
+            lambda path: write_myriad_csv(bins, path), ["mean_bodyweight_kg", "mean_total_kg", "count"], rows
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda k: st.lists(st.lists(edge_floats, min_size=k + 1, max_size=k + 1), max_size=6)))
+    def test_quantiles_csv(self, rows):
+        levels = (0.05, 0.25, 0.5, 0.75)[: len(rows[0]) - 1] if rows else (0.5,)
+        rq = RollingQuantiles(
+            window=3,
+            levels=levels,
+            center_bodyweight_kg=np.array([r[0] for r in rows], dtype=float),
+            values=np.array([r[1:] for r in rows], dtype=float).reshape(len(rows), len(levels)),
+        )
+        header = ["center_bodyweight_kg"] + [f"q{level:g}" for level in levels]
+        self.assert_same_bytes(lambda path: write_quantiles_csv(rq, path), header, rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(edge_floats, min_size=1, max_size=7), st.data())
+    def test_distribution_csv(self, edges, data):
+        counts = data.draw(st.lists(big_counts, min_size=len(edges) - 1, max_size=len(edges) - 1))
+        dist = ScoreDistribution(
+            mean=0.0,
+            std=1.0,
+            skewness=0.0,
+            excess_kurtosis=0.0,
+            histogram_edges=np.array(edges, dtype=float),
+            histogram_counts=np.array(counts, dtype=np.int64),
+            gaussian_mean=0.0,
+            gaussian_std=1.0,
+        )
+        rows = list(zip(edges[:-1], edges[1:], counts))
+        self.assert_same_bytes(lambda path: write_distribution_csv(dist, path), ["bin_left", "bin_right", "count"], rows)
+
+    @staticmethod
+    def assert_same_bytes(write, header, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            write_rows_reference(want, header, rows)
+            for block_rows in (1, 2, diagnostics._WRITE_ROWS):
+                with mock.patch.object(diagnostics, "_WRITE_ROWS", block_rows):
+                    write(got)
+                assert got.read_bytes() == want.read_bytes(), block_rows

@@ -1,10 +1,15 @@
+import csv
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liftcurve import kde
 from liftcurve.kde import (
     BandwidthMode,
     KdeModel,
@@ -95,7 +100,7 @@ class TestDensity:
         assert density_batch(model, [77.7])[0] == density(model, 77.7)
 
     def test_batch_crosses_chunk_boundaries(self):
-        # sizes beyond one eval chunk and one point chunk
+        # sizes beyond one tile and one point block
         rng = np.random.Generator(np.random.Philox(key=3))
         pts = rng.normal(80.0, 10.0, 9000)
         model = KdeModel(points=pts, bandwidth=1.7)
@@ -125,6 +130,42 @@ class TestDensity:
             density(model, math.nan)
         with pytest.raises(ValueError):
             density_batch(model, [1.0, math.inf])
+
+    def test_batch_of_nothing_is_empty(self):
+        model = KdeModel(points=np.array([70.0, 90.0]), bandwidth=2.0)
+        assert density_batch(model, []).shape == (0,)
+
+
+class TestTiles:
+    """Each row of a tile is summed on its own, so tile edges change no bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8191, 8192, 8193, 16385])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_batch_equals_scalar_and_split_calls(self, n, extra):
+        rows = kde._TILE_PAIRS // min(n, kde._POINT_CHUNK)
+        m = rows + extra
+        rng = np.random.Generator(np.random.Philox(key=n))
+        model = KdeModel(points=rng.normal(80.0, 12.0, n), bandwidth=1.9)
+        xs = rng.uniform(40.0, 120.0, m)
+        got = density_batch(model, xs)
+        probe = {0, 1, rows - 2, rows - 1, rows, m - 1, *rng.integers(0, m, 8).tolist()}
+        for i in sorted(i for i in probe if i < m):
+            assert got[i] == density(model, xs[i]), i
+        for cut in (1, m // 3, rows - 1):
+            joined = np.concatenate([density_batch(model, xs[:cut]), density_batch(model, xs[cut:])])
+            assert np.array_equal(joined, got), cut
+
+    def test_peak_memory_is_one_small_tile(self):
+        rng = np.random.Generator(np.random.Philox(key=21))
+        pts = rng.normal(80.0, 12.0, 9000)
+        model = KdeModel(points=pts, bandwidth=1.5)
+        tracemalloc.start()
+        try:
+            density_batch(model, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestFitKde:
@@ -173,3 +214,26 @@ def test_export_density_csv(tmp_path):
     x0, d0 = lines[1].split(",")
     assert float(x0) == 0.0
     assert float(d0) == pytest.approx(K_AT_ONE, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 70.0, 70.1]),
+            st.floats(-1e6, 1e6),
+        ),
+        max_size=8,
+    )
+)
+def test_export_density_csv_bytes_equal_per_row_repr(grid):
+    model = KdeModel(points=np.array([-1.0, 1.0, 70.0]), bandwidth=1.5)
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        export_density_csv(model, grid, got)
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x_kg", "density"])
+            for x, d in zip(grid, density_batch(model, grid)):
+                writer.writerow([repr(float(x)), repr(float(d))])
+        assert got.read_bytes() == want.read_bytes()

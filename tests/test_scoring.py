@@ -488,6 +488,31 @@ class TestReadScoredCsvBlocks:
         with pytest.raises(SchemaError, match=re.escape(f"{path}:{message}")):
             row_reference.read_scored_csv(path)
 
+    @pytest.mark.parametrize(
+        "layout, line", [("blank line before", 5), ("newline in a cell before", 5), ("newline in its own cell", 4)]
+    )
+    @pytest.mark.parametrize(
+        "column, cell, problem", [("Score", "oops", "malformed Score cell"), ("Sex", "X", "invalid entry row (sex)")]
+    )
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 2048])
+    def test_error_names_the_physical_line(self, tmp_path, layout, line, column, cell, problem, block_rows):
+        # the third data row goes bad; with blocks of 2 an extra line before it sits in the block before
+        path = tmp_path / "scored.csv"
+        write_corrupted_scored_csv(path, [(4, column, cell)])
+        rows = [[*row, "note"] for row in read_csv_rows(path)]
+        rows[0][-1] = "Note"
+        if layout == "blank line before":
+            rows.insert(2, [])
+        elif layout == "newline in a cell before":
+            rows[1][-1] = "two\nlines"
+        else:
+            rows[3][-1] = "two\nlines"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+            with pytest.raises(SchemaError, match=re.escape(f"{path}:{line}: {problem}")):
+                read_scored_csv(path)
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(
