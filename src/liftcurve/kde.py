@@ -20,7 +20,6 @@ depend on how many points are evaluated together.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -148,12 +147,3 @@ def density(model: KdeModel, x: float) -> float:
     """Density (kg^-1) at a single point; equals ``density_batch`` elementwise."""
     return float(density_batch(model, np.asarray([x]))[0])
 
-
-def export_density_csv(model: KdeModel, grid, path) -> None:
-    """Write a two-column ``(x_kg, density)`` CSV over a caller-supplied grid."""
-    grid = np.asarray(grid, dtype=float).ravel()
-    values = density_batch(model, grid)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_kg", "density"])
-        writer.writerows(zip(grid.tolist(), values.tolist()))

@@ -14,8 +14,11 @@ published sources) through :class:`ScoreRegistry`.
 The Wilks polynomial is only validated over 30-250 kg, so Wilks and GL
 scoring guard that domain; model scores only require ``f(x) > 0``.
 
-:func:`score_dataset` and :func:`drop_unscorable` work per sex on arrays
-and match the per-row functions bit for bit.
+Each rule is written once, in one array kernel that returns the scores
+and a reason code for every row it cannot score. :func:`score_dataset` and
+:func:`drop_unscorable` run it per sex; :func:`wilks_score`,
+:func:`gl_score` and :func:`model_score` run it on one row (as float64),
+so both give the same bits and raise the same errors.
 """
 
 from __future__ import annotations
@@ -89,35 +92,14 @@ class GlCoefficients:
             raise ConfigError("GL denominator is not positive at 30 kg")
 
 
-def _check_domain(x: float) -> None:
-    lo, hi = WILKS_DOMAIN_KG
-    if not (math.isfinite(x) and lo <= x <= hi):
-        raise ValueError(f"bodyweight {x!r} outside validated scoring domain [{lo}, {hi}] kg")
-
-
-def _check_total(y: float) -> None:
-    if not (math.isfinite(y) and y > 0):
-        raise ValueError(f"total must be positive and finite, got {y!r}")
-
-
 def wilks_score(x: float, y: float, coeffs: WilksCoefficients) -> float:
     """Wilks points for bodyweight ``x`` kg and total ``y`` kg."""
-    _check_domain(x)
-    _check_total(y)
-    denominator = float(coeffs._poly(x))
-    if denominator <= 0:
-        raise ConfigError(f"Wilks denominator non-positive at x={x}")
-    return coeffs.C * y / denominator
+    return _score_row("wilks", coeffs, x, y)
 
 
 def gl_score(x: float, y: float, coeffs: GlCoefficients) -> float:
     """IPF GL points for bodyweight ``x`` kg and total ``y`` kg."""
-    _check_domain(x)
-    _check_total(y)
-    denominator = coeffs.A - coeffs.B * math.exp(-coeffs.C * x)
-    if denominator <= 0:
-        raise ConfigError(f"GL denominator non-positive at x={x}")
-    return 100.0 * y / denominator
+    return _score_row("ipf_gl", coeffs, x, y)
 
 
 def model_score(x: float, y: float, params: GrowthParams, scale: float = MODEL_SCORE_SCALE) -> float:
@@ -126,14 +108,7 @@ def model_score(x: float, y: float, params: GrowthParams, scale: float = MODEL_S
     ``y == f(x)`` scores exactly ``scale``. Raises for bodyweights at or
     below the model's zero.
     """
-    if not (math.isfinite(x) and x > 0):
-        raise ValueError(f"bodyweight must be positive and finite, got {x!r}")
-    _check_total(y)
-    expected = evaluate(params, x)
-    if expected <= 0:
-        raise ValueError(f"model expectation non-positive at x={x} kg; cannot score")
-    # grouped so that y == f(x) scores exactly `scale`
-    return scale * (y / expected)
+    return _score_row("model", params, x, y, scale)
 
 
 class ScoreRegistry:
@@ -232,17 +207,6 @@ def default_registry() -> ScoreRegistry:
         return ScoreRegistry.from_config(config_path)
 
 
-def score_entry(entry: LifterEntry, system: str, registry: ScoreRegistry) -> float:
-    coeffs = registry.resolve(system, entry.sex)
-    if system in ("wilks", "wilks2"):
-        return wilks_score(entry.bodyweight_kg, entry.total_kg, coeffs)
-    if system == "ipf_gl":
-        return gl_score(entry.bodyweight_kg, entry.total_kg, coeffs)
-    if system == "model":
-        return model_score(entry.bodyweight_kg, entry.total_kg, coeffs)
-    raise ConfigError(f"unknown scoring system {system!r}")
-
-
 def _columns_by_sex(entries: list[LifterEntry]) -> list[tuple[Sex, np.ndarray, np.ndarray, np.ndarray]]:
     """``(sex, rows, bodyweights, totals)`` per sex, in order of first appearance."""
     x = np.array([e.bodyweight_kg for e in entries], dtype=float)
@@ -255,16 +219,26 @@ def _columns_by_sex(entries: list[LifterEntry]) -> list[tuple[Sex, np.ndarray, n
     return groups
 
 
-def _score_arrays(system: str, coeffs, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Score one sex's bodyweights ``x`` and totals ``y`` under ``system``.
+# Why the kernel flags a row, most binding first. drop_unscorable drops rows
+# for the first _DROPPED reasons; a non-positive total always raises.
+_REASONS = ("bodyweight_out_of_domain", "non_positive_denominator", "non_positive_total")
+_DROPPED = 2
 
-    Returns the scores and, per reason, the mask of rows the per-row
-    scorers reject; the scores of those rows are meaningless. The other
-    scores equal the per-row ones bit for bit: the arithmetic is the same
-    and in the same order, with ``math.exp`` per element for GL because
-    ``np.exp`` can differ from it in the last bit. For model scores the
-    domain is ``x > 0`` and the denominator is ``f(x)``. Out-of-domain
-    rows never count as a non-positive denominator.
+
+def _positive_finite(y):
+    return np.isfinite(y) & (y > 0)
+
+
+def _score_arrays(
+    system: str, coeffs, x: np.ndarray, y: np.ndarray, scale: float = MODEL_SCORE_SCALE
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score float64 bodyweights ``x`` and totals ``y`` under ``system``: the one copy of the rules.
+
+    Returns the scores and a reason code per row: -1 if it is scorable, else
+    an index into ``_REASONS`` (and its score is meaningless). For model
+    scores the domain is ``x > 0`` and the denominator is ``f(x)``, scaled
+    by ``scale``; Wilks and GL carry their own scale. GL uses ``math.exp``
+    per element because ``np.exp`` can differ from it in the last bit.
     """
     if system == "model":
         in_domain = np.isfinite(x) & (x > 0)
@@ -278,23 +252,59 @@ def _score_arrays(system: str, coeffs, x: np.ndarray, y: np.ndarray) -> tuple[np
         scale = 100.0
         denominator = coeffs.A - coeffs.B * np.fromiter(map(math.exp, (-coeffs.C * xd).tolist()), float, xd.size)
     elif system == "model":
-        scale, denominator = MODEL_SCORE_SCALE, evaluate(coeffs, xd)
+        denominator = evaluate(coeffs, xd)
     else:
         raise ConfigError(f"unknown scoring system {system!r}")
     den = np.full(x.shape, np.nan)
     den[in_domain] = denominator
-    # model_score groups y / f(x) so that y == f(x) scores exactly the scale;
-    # only rejected rows can divide badly
+    # model scores group y / f(x) so that y == f(x) scores exactly the scale;
+    # only flagged rows can divide badly
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = scale * (y / den) if system == "model" else scale * y / den
-    return scores, {
-        "bodyweight_out_of_domain": ~in_domain,
-        "non_positive_total": ~(np.isfinite(y) & (y > 0)),
-        "non_positive_denominator": den <= 0,
-    }
+    # the most binding reason is assigned last
+    reason = np.where(_positive_finite(y), -1, 2)
+    reason[den <= 0] = 1
+    reason[~in_domain] = 0
+    return scores, reason
 
 
-_DROP_REASONS = ("bodyweight_out_of_domain", "non_positive_denominator")
+def _unscorable(system: str, x, y, reason: int) -> Exception:
+    """The error for a row of bodyweight ``x`` and total ``y`` flagged with ``reason``.
+
+    Checks the bodyweight, then the total, then the denominator, so a bad
+    total outranks a non-positive denominator here though not when rows are
+    dropped. The message shows the caller's own ``x`` and ``y``.
+    """
+    if reason == 0:
+        if system == "model":
+            return ValueError(f"bodyweight must be positive and finite, got {x!r}")
+        lo, hi = WILKS_DOMAIN_KG
+        return ValueError(f"bodyweight {x!r} outside validated scoring domain [{lo}, {hi}] kg")
+    if not _positive_finite(y):
+        return ValueError(f"total must be positive and finite, got {y!r}")
+    if system == "model":
+        return ValueError(f"model expectation non-positive at x={x} kg; cannot score")
+    return ConfigError(f"{'GL' if system == 'ipf_gl' else 'Wilks'} denominator non-positive at x={x}")
+
+
+def _score_row(system: str, coeffs, x, y, scale: float = MODEL_SCORE_SCALE) -> float:
+    """Score one row through the kernel, raising :func:`_unscorable` if it is flagged."""
+    scores, reason = _score_arrays(system, coeffs, np.array([x], dtype=float), np.array([y], dtype=float), scale)
+    if reason[0] >= 0:
+        raise _unscorable(system, x, y, reason[0])
+    return scores.item()
+
+
+def _score_by_sex(entries: list[LifterEntry], system: str, registry: ScoreRegistry) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and reason codes of ``entries`` in input order, scored per sex
+    after every needed ``(system, sex)`` pair has resolved."""
+    groups = _columns_by_sex(entries)
+    coeffs = [registry.resolve(system, sex) for sex, *_ in groups]
+    scores = np.empty(len(entries))
+    reason = np.full(len(entries), -1)
+    for (_, rows, x, y), group_coeffs in zip(groups, coeffs):
+        scores[rows], reason[rows] = _score_arrays(system, group_coeffs, x, y)
+    return scores, reason
 
 
 def drop_unscorable(entries, system: str, registry: ScoreRegistry) -> tuple[list[LifterEntry], dict[str, int]]:
@@ -302,44 +312,33 @@ def drop_unscorable(entries, system: str, registry: ScoreRegistry) -> tuple[list
 
     Wilks and GL raise outside the validated bodyweight domain, and a Wilks
     polynomial can reach zero inside it (women's, above ~208 kg). Model
-    scores drop nothing. Rows are checked per sex on arrays, by the same
-    rules :func:`score_dataset` applies.
+    scores drop nothing. Rows are flagged by the kernel :func:`score_dataset`
+    uses; a row whose only fault is its total is kept, so that it raises.
     """
     entries = list(entries)
     if system == "model":
         return entries, {}
-    reason = np.full(len(entries), -1)
-    for sex, rows, x, y in _columns_by_sex(entries):
-        masks = _score_arrays(system, registry.resolve(system, sex), x, y)[1]
-        for code, name in enumerate(_DROP_REASONS):
-            reason[rows[masks[name]]] = code
-    kept = [entry for entry, code in zip(entries, reason.tolist()) if code < 0]
-    dropped = reason[reason >= 0]
-    counts = np.bincount(dropped, minlength=len(_DROP_REASONS))
+    reason = _score_by_sex(entries, system, registry)[1]
+    drop = (0 <= reason) & (reason < _DROPPED)
+    kept = [entry for entry, dropped in zip(entries, drop.tolist()) if not dropped]
+    names = [_REASONS[code] for code in reason[drop].tolist()]
     # reasons in order of first occurrence
-    return kept, {_DROP_REASONS[code]: int(counts[code]) for code in dict.fromkeys(dropped.tolist())}
+    return kept, {name: names.count(name) for name in dict.fromkeys(names)}
 
 
 def score_dataset(entries, system: str, registry: ScoreRegistry) -> list[tuple[LifterEntry, float]]:
     """Score every entry, preserving order.
 
-    Scores each sex's rows at once on arrays, bit for bit equal to
-    :func:`score_entry`. Resolves each needed ``(system, sex)`` pair up
-    front so a missing registry entry fails before any row is scored. If a
-    row cannot be scored, the first such row in input order raises what
-    :func:`score_entry` raises for it.
+    Scores each sex's rows at once on arrays, bit for bit equal to the
+    per-row scorers. If a row cannot be scored, the first such row in input
+    order raises what the per-row scorer raises for it.
     """
     entries = list(entries)
-    groups = _columns_by_sex(entries)
-    coeffs = [registry.resolve(system, sex) for sex, *_ in groups]
-    scores = np.empty(len(entries))
-    unscorable = np.zeros(len(entries), dtype=bool)
-    for (_, rows, x, y), group_coeffs in zip(groups, coeffs):
-        group_scores, masks = _score_arrays(system, group_coeffs, x, y)
-        scores[rows] = group_scores
-        unscorable[rows] = np.logical_or.reduce(list(masks.values()))
-    for row in np.flatnonzero(unscorable):
-        scores[row] = score_entry(entries[row], system, registry)
+    scores, reason = _score_by_sex(entries, system, registry)
+    flagged = np.flatnonzero(reason >= 0)
+    if flagged.size:
+        entry = entries[flagged[0]]
+        raise _unscorable(system, entry.bodyweight_kg, entry.total_kg, reason[flagged[0]])
     return list(zip(entries, scores.tolist()))
 
 

@@ -1,18 +1,31 @@
-"""The per-row CSV reader that ``liftcurve.ingest`` replaced, kept as a test reference.
+"""Per-row code that ``liftcurve`` replaced, kept as a test reference.
 
-Each row is read with :class:`csv.DictReader` and classified on its own, with
-the checks in drop-reason order. The block reader of ``liftcurve.ingest``
-must give the same entries, row count and drop counts (in the same key
-order), and ``read_scored_csv`` must raise the same errors.
+The CSV reader reads each row with :class:`csv.DictReader` and classifies it
+on its own, with the checks in drop-reason order. The block reader of
+``liftcurve.ingest`` must give the same entries, row count and drop counts
+(in the same key order), and ``read_scored_csv`` must raise the same errors.
+
+The scorers check and score one row at a time. The array kernel of
+``liftcurve.scoring`` must give the same scores bit for bit and raise the
+same errors, for ``score_dataset`` and for the per-row scorers alike.
 """
 
 import csv
 import math
+import re
 from collections import Counter
 
-from liftcurve.errors import SchemaError
+from liftcurve.errors import ConfigError, SchemaError
 from liftcurve.ingest import PASSTHROUGH_POLICY, REQUIRED_COLUMNS, FilterPolicy, IngestStats, LifterEntry, Sex
-from liftcurve.scoring import SCORE_COLUMN
+from liftcurve.models import GrowthParams, evaluate
+from liftcurve.scoring import (
+    MODEL_SCORE_SCALE,
+    SCORE_COLUMN,
+    WILKS_DOMAIN_KG,
+    GlCoefficients,
+    ScoreRegistry,
+    WilksCoefficients,
+)
 
 TOTAL_SLACK_KG = 0.5
 
@@ -94,7 +107,11 @@ def classify_row(row, policy):
     )
 
 
+LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
+
 def read_rows(path, extra_columns=()):
+    """Yield ``(line, row)`` per record, ``line`` being the physical line it ends on."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames
@@ -103,7 +120,14 @@ def read_rows(path, extra_columns=()):
         missing = [col for col in (*REQUIRED_COLUMNS, *extra_columns) if col not in header]
         if missing:
             raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
+
+
+def first_line(end, row):
+    """The physical line on which a record that ends on line ``end`` starts."""
+    cells = [cell for cell in row.values() if isinstance(cell, str)] + row.get(None, [])
+    return end - sum(len(LINE_BREAK.findall(cell)) for cell in cells)
 
 
 def parse_csv(path, policy=None):
@@ -112,7 +136,7 @@ def parse_csv(path, policy=None):
     entries = []
     dropped = Counter()
     total_rows = 0
-    for row in read_rows(path):
+    for _, row in read_rows(path):
         total_rows += 1
         outcome = classify_row(row, policy)
         if isinstance(outcome, LifterEntry):
@@ -124,7 +148,8 @@ def parse_csv(path, policy=None):
 
 def read_scored_csv(path):
     scored = []
-    for line, row in enumerate(read_rows(path, (SCORE_COLUMN,)), start=2):
+    for end, row in read_rows(path, (SCORE_COLUMN,)):
+        line = first_line(end, row)
         outcome = classify_row(row, PASSTHROUGH_POLICY)
         if not isinstance(outcome, LifterEntry):
             raise SchemaError(f"{path}:{line}: invalid entry row ({outcome})")
@@ -134,3 +159,61 @@ def read_scored_csv(path):
             raise SchemaError(f"{path}:{line}: malformed Score cell") from None
         scored.append((outcome, score))
     return scored
+
+
+def _check_domain(x: float) -> None:
+    lo, hi = WILKS_DOMAIN_KG
+    if not (math.isfinite(x) and lo <= x <= hi):
+        raise ValueError(f"bodyweight {x!r} outside validated scoring domain [{lo}, {hi}] kg")
+
+
+def _check_total(y: float) -> None:
+    if not (math.isfinite(y) and y > 0):
+        raise ValueError(f"total must be positive and finite, got {y!r}")
+
+
+def wilks_score(x: float, y: float, coeffs: WilksCoefficients) -> float:
+    """Wilks points for bodyweight ``x`` kg and total ``y`` kg."""
+    _check_domain(x)
+    _check_total(y)
+    denominator = float(coeffs._poly(x))
+    if denominator <= 0:
+        raise ConfigError(f"Wilks denominator non-positive at x={x}")
+    return coeffs.C * y / denominator
+
+
+def gl_score(x: float, y: float, coeffs: GlCoefficients) -> float:
+    """IPF GL points for bodyweight ``x`` kg and total ``y`` kg."""
+    _check_domain(x)
+    _check_total(y)
+    denominator = coeffs.A - coeffs.B * math.exp(-coeffs.C * x)
+    if denominator <= 0:
+        raise ConfigError(f"GL denominator non-positive at x={x}")
+    return 100.0 * y / denominator
+
+
+def model_score(x: float, y: float, params: GrowthParams, scale: float = MODEL_SCORE_SCALE) -> float:
+    """Growth-model score ``scale * y / f(x)``.
+
+    ``y == f(x)`` scores exactly ``scale``. Raises for bodyweights at or
+    below the model's zero.
+    """
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"bodyweight must be positive and finite, got {x!r}")
+    _check_total(y)
+    expected = evaluate(params, x)
+    if expected <= 0:
+        raise ValueError(f"model expectation non-positive at x={x} kg; cannot score")
+    # grouped so that y == f(x) scores exactly `scale`
+    return scale * (y / expected)
+
+
+def score_entry(entry: LifterEntry, system: str, registry: ScoreRegistry) -> float:
+    coeffs = registry.resolve(system, entry.sex)
+    if system in ("wilks", "wilks2"):
+        return wilks_score(entry.bodyweight_kg, entry.total_kg, coeffs)
+    if system == "ipf_gl":
+        return gl_score(entry.bodyweight_kg, entry.total_kg, coeffs)
+    if system == "model":
+        return model_score(entry.bodyweight_kg, entry.total_kg, coeffs)
+    raise ConfigError(f"unknown scoring system {system!r}")

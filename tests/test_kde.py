@@ -1,8 +1,5 @@
-import csv
 import math
-import tempfile
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +12,6 @@ from liftcurve.kde import (
     KdeModel,
     density,
     density_batch,
-    export_density_csv,
     fit_kde,
     scott_bandwidth,
 )
@@ -203,37 +199,3 @@ class TestFitKde:
             fit_kde([1.0])
         with pytest.raises(ValueError):
             KdeModel(points=np.array([1.0, 2.0]), bandwidth=0.0)
-
-
-def test_export_density_csv(tmp_path):
-    model = KdeModel(points=np.array([-1.0, 1.0]), bandwidth=1.0)
-    out = tmp_path / "density.csv"
-    export_density_csv(model, [0.0, 1.0], out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "x_kg,density"
-    x0, d0 = lines[1].split(",")
-    assert float(x0) == 0.0
-    assert float(d0) == pytest.approx(K_AT_ONE, rel=1e-12)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(
-        st.one_of(
-            st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 70.0, 70.1]),
-            st.floats(-1e6, 1e6),
-        ),
-        max_size=8,
-    )
-)
-def test_export_density_csv_bytes_equal_per_row_repr(grid):
-    model = KdeModel(points=np.array([-1.0, 1.0, 70.0]), bandwidth=1.5)
-    with tempfile.TemporaryDirectory() as tmp:
-        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
-        export_density_csv(model, grid, got)
-        with open(want, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x_kg", "density"])
-            for x, d in zip(grid, density_batch(model, grid)):
-                writer.writerow([repr(float(x)), repr(float(d))])
-        assert got.read_bytes() == want.read_bytes()

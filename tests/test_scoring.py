@@ -17,6 +17,7 @@ from liftcurve.errors import ConfigError, SchemaError
 from liftcurve.ingest import LifterEntry, Sex, write_normalized_csv
 from liftcurve.models import GrowthParams, ModelFamily, evaluate, from_table_record, to_table_record
 from liftcurve.scoring import (
+    SYSTEMS,
     GlCoefficients,
     ScoreRegistry,
     WilksCoefficients,
@@ -26,7 +27,6 @@ from liftcurve.scoring import (
     model_score,
     read_scored_csv,
     score_dataset,
-    score_entry,
     wilks_score,
     write_scored_csv,
 )
@@ -248,7 +248,7 @@ class TestScoreDataset:
         entry = make_entry(93.0, 700.0, sex=Sex.MALE)
         [(out_entry, score)] = score_dataset([entry], "ipf_gl", registry)
         assert out_entry is entry
-        assert score == gl_score(93.0, 700.0, registry.resolve("ipf_gl", Sex.MALE))
+        assert score == row_reference.gl_score(93.0, 700.0, registry.resolve("ipf_gl", Sex.MALE))
 
     def test_batch_equals_scalar_loop(self):
         rng = np.random.Generator(np.random.Philox(key=29))
@@ -263,14 +263,15 @@ class TestScoreDataset:
         ]
         batch = score_dataset(entries, "wilks2", registry)
         for entry, score in batch:
-            expected = wilks_score(
+            expected = row_reference.wilks_score(
                 entry.bodyweight_kg, entry.total_kg, registry.resolve("wilks2", entry.sex)
             )
             assert score == expected
         # np.exp in place of math.exp changes about 3 % of these GL scores in the last bit
         for system in ("wilks", "ipf_gl", "model"):
             batch = score_dataset(entries, system, registry)
-            assert [score for _, score in batch] == [score_entry(e, system, registry) for e in entries]
+            want = [row_reference.score_entry(e, system, registry) for e in entries]
+            assert [score for _, score in batch] == want
 
     def test_unresolvable_sex_fails_before_scoring(self):
         registry = ScoreRegistry.from_records(
@@ -298,6 +299,29 @@ def raised_by(fn, *args) -> BaseException | None:
     return None
 
 
+def first_error(entries, system, registry) -> BaseException | None:
+    """What the per-row reference raises for the first row it cannot score."""
+    errors = (raised_by(row_reference.score_entry, e, system, registry) for e in entries)
+    return next((exc for exc in errors if exc is not None), None)
+
+
+SCORERS = {
+    "wilks": (wilks_score, row_reference.wilks_score),
+    "wilks2": (wilks_score, row_reference.wilks_score),
+    "ipf_gl": (gl_score, row_reference.gl_score),
+    "model": (model_score, row_reference.model_score),
+}
+
+# ints, NaN, infinities, zero, negatives and both domain edges, as floats and as np.float64
+kg_values_and_edges = (
+    st.floats(-1e4, 1e4)
+    | st.integers(-10, 300)
+    | st.sampled_from([0, -3, 30, 250, 0.0, -3.0, 25.0, 29.99, 30.0, 250.0, 250.01, 230.0])
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+)
+kg_inputs = kg_values_and_edges | kg_values_and_edges.map(np.float64)
+
+
 entry_rows = st.lists(
     st.builds(
         make_entry,
@@ -310,19 +334,21 @@ entry_rows = st.lists(
 
 
 class TestVectorisedScoring:
-    """score_dataset and drop_unscorable score each sex on arrays; they must
-    match the per-row score_entry bit for bit, error for error."""
+    """score_dataset, drop_unscorable and the per-row scorers all run one array
+    kernel; they must match the per-row reference bit for bit, error for error."""
 
     @settings(max_examples=60, deadline=None)
     @given(entry_rows)
     def test_equals_per_row_score_entry(self, entries):
         registry = model_registry()
-        for system in ("wilks", "wilks2", "ipf_gl", "model"):
+        for system in SYSTEMS:
             kept, _ = drop_unscorable(entries, system, registry)
-            scorable = [e for e in kept if raised_by(score_entry, e, system, registry) is None]
+            scorable = [e for e in kept if raised_by(row_reference.score_entry, e, system, registry) is None]
             scored = score_dataset(scorable, system, registry)
             assert [e for e, _ in scored] == scorable
-            assert [score for _, score in scored] == [score_entry(e, system, registry) for e in scorable]
+            assert [score for _, score in scored] == [
+                row_reference.score_entry(e, system, registry) for e in scorable
+            ]
 
     @settings(max_examples=60, deadline=None)
     @given(entry_rows)
@@ -330,7 +356,9 @@ class TestVectorisedScoring:
         registry = model_registry()
         for system in ("wilks", "wilks2", "ipf_gl"):
             kept, dropped = drop_unscorable(entries, system, registry)
-            rejected = [e for e in entries if raised_by(score_entry, e, system, registry) is not None]
+            rejected = [
+                e for e in entries if raised_by(row_reference.score_entry, e, system, registry) is not None
+            ]
             assert [e for e in entries if e not in rejected] == kept
             assert sum(dropped.values()) == len(rejected)
 
@@ -339,6 +367,7 @@ class TestVectorisedScoring:
         [
             ("wilks", [(80.0, 500.0, Sex.MALE), (25.0, 300.0, Sex.FEMALE), (90.0, -1.0, Sex.MALE)]),
             ("wilks", [(60.0, 300.0, Sex.FEMALE), (230.0, 400.0, Sex.FEMALE), (20.0, 400.0, Sex.MALE)]),
+            ("wilks2", [(60.0, 300.0, Sex.FEMALE), (230.0, -5.0, Sex.FEMALE), (230.0, 400.0, Sex.FEMALE)]),
             ("ipf_gl", [(80.0, 500.0, Sex.MALE), (70.0, 0.0, Sex.MALE), (251.0, 300.0, Sex.FEMALE)]),
             ("ipf_gl", [(80.0, 500.0, Sex.MALE), (float("nan"), 400.0, Sex.FEMALE)]),
             ("model", [(80.0, 500.0, Sex.MALE), (float("nan"), 400.0, Sex.MALE)]),
@@ -348,19 +377,69 @@ class TestVectorisedScoring:
             ("model", [(90.0, float("inf"), Sex.MALE), (0.0, 300.0, Sex.MALE)]),
         ],
         ids=[
-            "wilks-domain", "wilks-denominator", "gl-total", "gl-nan-bodyweight", "model-nan-bodyweight",
-            "model-at-zero", "model-below-zero", "model-zero-bodyweight", "model-infinite-total",
+            "wilks-domain", "wilks-denominator", "wilks2-total-and-denominator", "gl-total", "gl-nan-bodyweight",
+            "model-nan-bodyweight", "model-at-zero", "model-below-zero", "model-zero-bodyweight",
+            "model-infinite-total",
         ],
     )
     def test_raises_what_the_first_bad_row_raises(self, system, rows):
         registry = model_registry()
         entries = [make_entry(bw, total, sex=sex) for bw, total, sex in rows]
-        want = next(
-            exc for exc in (raised_by(score_entry, e, system, registry) for e in entries) if exc is not None
-        )
+        want = first_error(entries, system, registry)
         got = raised_by(score_dataset, entries, system, registry)
         assert type(got) is type(want)
         assert str(got) == str(want)
+
+    @pytest.mark.parametrize("system, dropped", [("wilks", 1), ("wilks2", 1), ("ipf_gl", 0)])
+    def test_a_bad_total_is_dropped_with_a_non_positive_denominator(self, system, dropped):
+        # the women's Wilks polynomials are negative at 230 kg; GL's denominator is not
+        entries = [make_entry(60.0, 300.0, sex=Sex.FEMALE), make_entry(230.0, -5.0, sex=Sex.FEMALE)]
+        registry = model_registry()
+        kept, counts = drop_unscorable(entries, system, registry)
+        assert kept == entries[: len(entries) - dropped]
+        assert counts == ({"non_positive_denominator": 1} if dropped else {})
+        with pytest.raises(ValueError, match=re.escape("total must be positive and finite, got -5.0")):
+            SCORERS[system][0](230.0, -5.0, registry.resolve(system, Sex.FEMALE))
+
+    @settings(max_examples=300, deadline=None)
+    @given(kg_inputs, kg_inputs, st.sampled_from(Sex))
+    def test_per_row_scorers_equal_row_reference(self, x, y, sex):
+        registry = model_registry()
+        for system in SYSTEMS:
+            coeffs = registry.resolve(system, sex)
+            scorer, reference = SCORERS[system]
+            want = raised_by(reference, x, y, coeffs)
+            if want is None:
+                got = scorer(x, y, coeffs)
+                assert type(got) is float
+                assert repr(got) == repr(float(reference(x, y, coeffs)))
+            else:
+                got = raised_by(scorer, x, y, coeffs)
+                assert type(got) is type(want)
+                assert str(got) == str(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(kg_inputs, kg_inputs, st.sampled_from(Sex)), max_size=6))
+    def test_score_dataset_equals_row_reference(self, rows):
+        registry = model_registry()
+        entries = [make_entry(93.0, 700.0, sex)._replace(bodyweight_kg=x, total_kg=y) for x, y, sex in rows]
+        for system in SYSTEMS:
+            want = first_error(entries, system, registry)
+            if want is None:
+                got = [score for _, score in score_dataset(entries, system, registry)]
+                assert repr(got) == repr([float(row_reference.score_entry(e, system, registry)) for e in entries])
+            else:
+                got = raised_by(score_dataset, entries, system, registry)
+                assert type(got) is type(want)
+                assert str(got) == str(want)
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_float32_inputs_score_as_float64(self, system):
+        # NumPy 2 promotion would keep a float32 input, and so the Wilks polynomial and GL exponent, in float32
+        registry = model_registry()
+        [(_, want)] = score_dataset([make_entry(93.0, 700.0, sex=Sex.FEMALE)], system, registry)
+        scorer = SCORERS[system][0]
+        assert scorer(np.float32(93.0), np.float32(700.0), registry.resolve(system, Sex.FEMALE)) == want
 
 
 def test_scored_csv_round_trip(tmp_path):
@@ -512,6 +591,8 @@ class TestReadScoredCsvBlocks:
         with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
             with pytest.raises(SchemaError, match=re.escape(f"{path}:{line}: {problem}")):
                 read_scored_csv(path)
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:{line}: {problem}")):
+            row_reference.read_scored_csv(path)
 
     @settings(max_examples=150, deadline=None)
     @given(
