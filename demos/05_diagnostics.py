@@ -16,12 +16,15 @@ import numpy as np
 
 from liftcurve import (
     GrowthParams,
+    LifterEntry,
     ModelFamily,
+    ScoreRegistry,
+    Sex,
     evaluate,
     fraction_below,
-    model_score,
     myriad_averages,
     rolling_quantiles,
+    score_dataset,
     score_distribution,
 )
 
@@ -37,7 +40,12 @@ print("myriad averages (10,000 results per group):")
 for bw, total, count in zip(bins.mean_bodyweight_kg, bins.mean_total_kg, bins.counts):
     print(f"  mean bw {bw:6.1f} kg -> mean total {total:6.1f} kg  (n={count})")
 
-scores = np.array([model_score(b, t, curve) for b, t in zip(bodyweights, totals)])
+# score every result against the curve it was drawn from
+entries = [LifterEntry(Sex.MALE, bw, t / 3, t / 3, t / 3, t, "Raw", "Open", "SBD")
+           for bw, t in zip(bodyweights.tolist(), totals.tolist())]
+registry = ScoreRegistry()
+registry.add_model_params(Sex.MALE, curve)
+scores = np.array([score for _, score in score_dataset(entries, "model", registry)])
 
 rq = rolling_quantiles(bodyweights, scores, window=100)
 print("\nrolling score quantiles, every 10,000th window "

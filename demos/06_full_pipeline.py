@@ -21,13 +21,14 @@ from liftcurve import (
     GrowthParams,
     ModelFamily,
     ResamplePlan,
+    ScoreRegistry,
     Sex,
     evaluate,
     fit_kde,
     flatten_resample,
     fraction_below,
-    model_score,
     parse_csv,
+    score_dataset,
     score_distribution,
     to_table_record,
     write_normalized_csv,
@@ -70,9 +71,9 @@ print(" ", to_table_record(logistic.params, "M", "resampled", sig_figs=4))
 print(" ", to_table_record(vb.params, "M", "resampled", sig_figs=4))
 
 # --- score the original entries against the fitted curve ---------------
-scores = np.array(
-    [model_score(e.bodyweight_kg, e.total_kg, logistic.params) for e in entries]
-)
+registry = ScoreRegistry()
+registry.add_model_params(Sex.MALE, logistic.params)
+scores = np.array([score for _, score in score_dataset(entries, "model", registry)])
 dist = score_distribution(scores)
 print(f"score: mean={dist.mean:.1f} std={dist.std:.1f} skew={dist.skewness:.2f}")
 

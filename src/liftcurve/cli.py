@@ -29,11 +29,11 @@ from .diagnostics import (
     write_quantiles_csv,
 )
 from .errors import ConfigError, SchemaError
-from .fit import FitConfig, fit
+from .fit import TOLERANCE, FitConfig, fit
 from .ingest import PASSTHROUGH_POLICY, FilterPolicy, Sex, parse_csv, write_normalized_csv
 from .kde import BandwidthMode, fit_kde
 from .models import parse_family, to_table_record
-from .resample import ResamplePlan, flatten_resample
+from .resample import DEFAULT_WEIGHT_FLOOR, ResamplePlan, flatten_resample
 from .scoring import (
     SYSTEMS,
     ScoreRegistry,
@@ -147,7 +147,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 "k": resolved.k,
                 "seed": resolved.seed,
                 "jitter_std_kg": resolved.jitter_std_kg,
-                "weight_floor": resolved.weight_floor,
+                "weight_floor": DEFAULT_WEIGHT_FLOOR,
                 "bandwidth_kg": kde.bandwidth,
                 "bandwidth_mode": bandwidth_mode.value,
             }
@@ -190,7 +190,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "resample_plans": plans or None,
             "fit_config": {
                 "max_iterations": config.max_iterations,
-                "tolerance": config.tolerance,
+                "tolerance": TOLERANCE,
             },
             "seed": args.seed,
         },

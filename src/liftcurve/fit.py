@@ -6,8 +6,8 @@ So for any ``(k, x0)`` the best amplitude has the closed form
 ``sum((L* g(x_i) - y_i)^2)`` over ``(k, x0)`` alone (variable projection,
 Golub & Pereyra 1973) with one bounded trust-region-reflective
 ``scipy.optimize.least_squares`` call and the exact Jacobian of that
-reduced residual. ``init.L`` is therefore unused; ``tolerance`` is the
-solver's ``ftol``, ``xtol`` and ``gtol``.
+reduced residual. ``init.L`` is therefore unused; the solver's ``ftol``,
+``xtol`` and ``gtol`` are all :data:`TOLERANCE`.
 """
 
 from __future__ import annotations
@@ -21,25 +21,24 @@ from .models import GrowthParams, ModelFamily, param_gradient
 
 Bounds = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 
+TOLERANCE = 1e-10  # the solver's ftol, xtol and gtol
+
 
 @dataclass(frozen=True)
 class FitConfig:
     """Solver configuration; ``init=None`` triggers :func:`auto_init`.
 
     Only ``init.k`` and ``init.x0`` are used: ``L`` is solved in closed
-    form. ``max_iterations`` caps function evaluations, and ``tolerance``
-    is the solver's ``ftol``, ``xtol`` and ``gtol``.
+    form. ``max_iterations`` caps function evaluations; the solver stops
+    at :data:`TOLERANCE`.
     """
 
     family: ModelFamily
     init: GrowthParams | None = None
     bounds: Bounds | None = None
     max_iterations: int = 200
-    tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.bounds is not None:
@@ -166,10 +165,9 @@ def fit(x, y, config: FitConfig) -> FitResult:
         dL = (dg.T @ y - 2.0 * L * (dg.T @ g)) / gg
         return L * dg + np.outer(g, dL)
 
-    tol = config.tolerance
     sol = least_squares(
-        residual, np.clip([init.k, init.x0], lo, hi), jac=jacobian, bounds=(lo, hi),
-        method="trf", x_scale="jac", ftol=tol, xtol=tol, gtol=tol, max_nfev=config.max_iterations,
+        residual, np.clip([init.k, init.x0], lo, hi), jac=jacobian, bounds=(lo, hi), method="trf",
+        x_scale="jac", ftol=TOLERANCE, xtol=TOLERANCE, gtol=TOLERANCE, max_nfev=config.max_iterations,
     )
     # On flat data trf can stop inside the box where the SSE has underflowed,
     # although the minimiser lies on its edge. The reduced Jacobian is then

@@ -67,7 +67,6 @@ class KdeModel:
 
     points: np.ndarray
     bandwidth: float
-    bandwidth_mode: BandwidthMode = BandwidthMode.STD_SCALED
 
     def __post_init__(self) -> None:
         pts = np.array(self.points, dtype=float)
@@ -85,31 +84,19 @@ class KdeModel:
         return self.points.size
 
 
-def fit_kde(
-    points,
-    mode: BandwidthMode = BandwidthMode.STD_SCALED,
-    max_points: int | None = None,
-    seed: int = 0,
-) -> KdeModel:
+def fit_kde(points, mode: BandwidthMode = BandwidthMode.STD_SCALED) -> KdeModel:
     """Fit a :class:`KdeModel` to a sample of bodyweights.
 
-    If ``max_points`` is given and the sample is larger, a uniform random
-    subsample (seeded, without replacement) is used; bandwidth is then
-    computed from the subsample. Intended for samples beyond ~5e5 points
-    where exact O(n*m) evaluation gets expensive.
+    Every point is kept: evaluation is exact over the whole sample, and
+    the bandwidth follows ``mode`` from the sample's size and spread.
     """
     pts = np.asarray(points, dtype=float).ravel()
     if pts.size < 2:
         raise ValueError(f"KDE fit needs at least 2 points, got {pts.size}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    if max_points is not None and pts.size > max_points:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        idx = rng.choice(pts.size, size=max_points, replace=False)
-        pts = pts[np.sort(idx)]
     std = float(np.std(pts, ddof=1))
-    h = scott_bandwidth(pts.size, std, mode)
-    return KdeModel(points=pts, bandwidth=h, bandwidth_mode=mode)
+    return KdeModel(points=pts, bandwidth=scott_bandwidth(pts.size, std, mode))
 
 
 def density_batch(model: KdeModel, xs) -> np.ndarray:

@@ -221,18 +221,29 @@ def to_table_record(
     return {"family": params.family.value, "sex": sex, "dataset": dataset, **values}
 
 
+def float_fields(record: dict, names) -> dict[str, float]:
+    """``record[name]`` as a float for each of ``names``.
+
+    A missing field raises KeyError; one that is not a number raises
+    ValueError naming it.
+    """
+    fields = {}
+    for name in names:
+        try:
+            fields[name] = float(record[name])
+        except (TypeError, ValueError):
+            raise ValueError(f"field {name!r} is not a number: {record[name]!r}") from None
+    return fields
+
+
 def from_table_record(record: dict) -> tuple[GrowthParams, str, str]:
     """Parse a table-layout record back into ``(params, sex, dataset)``."""
     try:
         family = parse_family(record["family"])
         sex = record["sex"]
         dataset = record["dataset"]
-        params = GrowthParams(
-            family=family,
-            L=float(record["L_1e2kg"]) * 100.0,
-            k=float(record["k_1e-2perkg"]) / 100.0,
-            x0=float(record["x0_kg"]),
-        )
+        L, k, x0 = float_fields(record, ("L_1e2kg", "k_1e-2perkg", "x0_kg")).values()
+        params = GrowthParams(family=family, L=L * 100.0, k=k / 100.0, x0=x0)
     except KeyError as exc:
         raise ValueError(f"table record missing field {exc.args[0]!r}") from None
     if sex not in _SEXES:

@@ -21,6 +21,7 @@ import numpy as np
 from .ingest import LifterEntry
 from .kde import KdeModel, density_batch
 
+# Caps at 1 / DEFAULT_WEIGHT_FLOOR the weight of outliers of effectively zero density.
 DEFAULT_WEIGHT_FLOOR = 1e-8
 
 
@@ -30,14 +31,11 @@ class ResamplePlan:
 
     ``jitter_std_kg=None`` means "use the KDE bandwidth"; it is resolved
     by :func:`resolve_plan` (or :func:`flatten_resample`) before drawing.
-    ``weight_floor`` caps the weight of extreme outliers whose estimated
-    density is effectively zero.
     """
 
     k: int = 100_000
     seed: int = 0
     jitter_std_kg: float | None = None
-    weight_floor: float = DEFAULT_WEIGHT_FLOOR
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -46,8 +44,6 @@ class ResamplePlan:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.jitter_std_kg is not None and not self.jitter_std_kg >= 0:
             raise ValueError(f"jitter_std_kg must be >= 0, got {self.jitter_std_kg}")
-        if not self.weight_floor >= 0:
-            raise ValueError(f"weight_floor must be >= 0, got {self.weight_floor}")
 
 
 def resolve_plan(plan: ResamplePlan, kde: KdeModel) -> ResamplePlan:
@@ -57,15 +53,13 @@ def resolve_plan(plan: ResamplePlan, kde: KdeModel) -> ResamplePlan:
     return replace(plan, jitter_std_kg=kde.bandwidth)
 
 
-def compute_weights(entries, kde: KdeModel, floor: float = DEFAULT_WEIGHT_FLOOR) -> np.ndarray:
-    """Inverse-density weights ``1 / max(g(x_i), floor)`` for each entry."""
-    if floor < 0:
-        raise ValueError(f"floor must be >= 0, got {floor}")
+def compute_weights(entries, kde: KdeModel) -> np.ndarray:
+    """Inverse-density weights ``1 / max(g(x_i), DEFAULT_WEIGHT_FLOOR)`` for each entry."""
     bodyweights = np.asarray([e.bodyweight_kg for e in entries], dtype=float)
     dens = density_batch(kde, bodyweights)
     if not np.all(np.isfinite(dens)):
         raise RuntimeError("KDE produced non-finite densities for finite inputs")
-    weights = 1.0 / np.maximum(dens, floor)
+    weights = 1.0 / np.maximum(dens, DEFAULT_WEIGHT_FLOOR)
     if not np.all(np.isfinite(weights) & (weights > 0)):
         raise RuntimeError("non-finite or non-positive resampling weight")
     return weights
@@ -114,5 +108,5 @@ def flatten_resample(entries, kde: KdeModel, plan: ResamplePlan) -> tuple[list[L
     (handy for sidecar metadata).
     """
     resolved = resolve_plan(plan, kde)
-    weights = compute_weights(entries, kde, resolved.weight_floor)
+    weights = compute_weights(entries, kde)
     return resample(entries, weights, resolved), resolved

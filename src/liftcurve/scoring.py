@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, SchemaError
 from .ingest import DROP_REASONS, PASSTHROUGH_POLICY, REQUIRED_COLUMNS, LifterEntry, Sex, normalized_cells, read_blocks
-from .models import GrowthParams, evaluate, from_table_record, parse_family
+from .models import GrowthParams, evaluate, float_fields, from_table_record, parse_family
 
 WILKS_DOMAIN_KG = (30.0, 250.0)
 # Published women's Wilks polynomials go non-positive above ~208 kg, so the
@@ -102,17 +102,21 @@ def gl_score(x: float, y: float, coeffs: GlCoefficients) -> float:
     return _score_row("ipf_gl", coeffs, x, y)
 
 
-def model_score(x: float, y: float, params: GrowthParams, scale: float = MODEL_SCORE_SCALE) -> float:
-    """Growth-model score ``scale * y / f(x)``.
+def model_score(x: float, y: float, params: GrowthParams) -> float:
+    """Growth-model score ``MODEL_SCORE_SCALE * y / f(x)``.
 
-    ``y == f(x)`` scores exactly ``scale``. Raises for bodyweights at or
-    below the model's zero.
+    ``y == f(x)`` scores exactly ``MODEL_SCORE_SCALE`` (100). Raises for
+    bodyweights at or below the model's zero.
     """
-    return _score_row("model", params, x, y, scale)
+    return _score_row("model", params, x, y)
 
 
 class ScoreRegistry:
-    """Immutable-after-load map from ``(system, sex)`` to coefficient sets."""
+    """Map from ``(system, sex)`` to coefficient sets.
+
+    Loaded from records or a config file; :meth:`add_model_params` and
+    :meth:`add_fit_records` add or replace "model" entries afterwards.
+    """
 
     def __init__(self) -> None:
         self._entries: dict[tuple[str, Sex], WilksCoefficients | GlCoefficients | GrowthParams] = {}
@@ -145,29 +149,20 @@ class ScoreRegistry:
             sex = Sex(record["sex"])
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"invalid coefficient record {record!r}: {exc}") from None
-        if system in ("wilks", "wilks2"):
+        where = f"{system}/{sex.value}"
+        if system in ("wilks", "wilks2", "ipf_gl"):
             try:
-                coeffs = WilksCoefficients(
-                    **{name: float(record[name]) for name in "abcdef"},
-                    C=float(record["C"]),
-                )
+                fields = float_fields(record, "ABC" if system == "ipf_gl" else "abcdefC")
             except KeyError as exc:
-                raise ConfigError(f"{system}/{sex.value}: missing coefficient {exc.args[0]!r}") from None
-        elif system == "ipf_gl":
-            try:
-                coeffs = GlCoefficients(A=float(record["A"]), B=float(record["B"]), C=float(record["C"]))
-            except KeyError as exc:
-                raise ConfigError(f"ipf_gl/{sex.value}: missing coefficient {exc.args[0]!r}") from None
+                raise ConfigError(f"{where}: missing coefficient {exc.args[0]!r}") from None
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+            coeffs = GlCoefficients(**fields) if system == "ipf_gl" else WilksCoefficients(**fields)
         elif system == "model":
             try:
-                coeffs = GrowthParams(
-                    family=parse_family(record["family"]),
-                    L=float(record["L"]),
-                    k=float(record["k"]),
-                    x0=float(record["x0"]),
-                )
+                coeffs = GrowthParams(parse_family(record["family"]), **float_fields(record, ("L", "k", "x0")))
             except (KeyError, ValueError) as exc:
-                raise ConfigError(f"model/{sex.value}: invalid growth params: {exc}") from None
+                raise ConfigError(f"{where}: invalid growth params: {exc}") from None
         else:
             raise ConfigError(f"unknown scoring system {system!r} (expected one of {SYSTEMS})")
         self._entries[(system, sex)] = coeffs
@@ -185,7 +180,10 @@ class ScoreRegistry:
         """
         for record in records:
             if "L_1e2kg" in record:
-                params, sex, _ = from_table_record(record)
+                try:
+                    params, sex, _ = from_table_record(record)
+                except ValueError as exc:
+                    raise ConfigError(f"model/{record.get('sex')}: invalid growth params: {exc}") from None
                 self.add_model_params(Sex(sex), params)
             else:
                 self._add_record({**record, "system": "model"})
@@ -229,16 +227,15 @@ def _positive_finite(y):
     return np.isfinite(y) & (y > 0)
 
 
-def _score_arrays(
-    system: str, coeffs, x: np.ndarray, y: np.ndarray, scale: float = MODEL_SCORE_SCALE
-) -> tuple[np.ndarray, np.ndarray]:
+def _score_arrays(system: str, coeffs, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Score float64 bodyweights ``x`` and totals ``y`` under ``system``: the one copy of the rules.
 
     Returns the scores and a reason code per row: -1 if it is scorable, else
     an index into ``_REASONS`` (and its score is meaningless). For model
     scores the domain is ``x > 0`` and the denominator is ``f(x)``, scaled
-    by ``scale``; Wilks and GL carry their own scale. GL uses ``math.exp``
-    per element because ``np.exp`` can differ from it in the last bit.
+    by ``MODEL_SCORE_SCALE``; Wilks and GL carry their own scale. GL uses
+    ``math.exp`` per element because ``np.exp`` can differ from it in the
+    last bit.
     """
     if system == "model":
         in_domain = np.isfinite(x) & (x > 0)
@@ -252,7 +249,7 @@ def _score_arrays(
         scale = 100.0
         denominator = coeffs.A - coeffs.B * np.fromiter(map(math.exp, (-coeffs.C * xd).tolist()), float, xd.size)
     elif system == "model":
-        denominator = evaluate(coeffs, xd)
+        scale, denominator = MODEL_SCORE_SCALE, evaluate(coeffs, xd)
     else:
         raise ConfigError(f"unknown scoring system {system!r}")
     den = np.full(x.shape, np.nan)
@@ -287,9 +284,11 @@ def _unscorable(system: str, x, y, reason: int) -> Exception:
     return ConfigError(f"{'GL' if system == 'ipf_gl' else 'Wilks'} denominator non-positive at x={x}")
 
 
-def _score_row(system: str, coeffs, x, y, scale: float = MODEL_SCORE_SCALE) -> float:
+def _score_row(system: str, coeffs, x, y) -> float:
     """Score one row through the kernel, raising :func:`_unscorable` if it is flagged."""
-    scores, reason = _score_arrays(system, coeffs, np.array([x], dtype=float), np.array([y], dtype=float), scale)
+    # TypeError for a str, bytes or None, which np.array would convert or misreport
+    math.isfinite(x), math.isfinite(y)
+    scores, reason = _score_arrays(system, coeffs, np.array([x], dtype=float), np.array([y], dtype=float))
     if reason[0] >= 0:
         raise _unscorable(system, x, y, reason[0])
     return scores.item()

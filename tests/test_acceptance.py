@@ -31,7 +31,7 @@ from liftcurve.models import (
     second_derivative,
 )
 from liftcurve.resample import ResamplePlan, flatten_resample, resample
-from liftcurve.scoring import GlCoefficients, gl_score, model_score
+from liftcurve.scoring import GlCoefficients, ScoreRegistry, gl_score, model_score, score_dataset
 
 from synth import bimodal_bodyweights, chi_square_uniformity, logistic_xy, make_entry
 from test_cli import read_tree, write_entries_csv
@@ -199,8 +199,9 @@ def test_criterion_6_pinned_snapshot_envelope(snapshot_csv):
 
     skews = {}
     for label, subset in (("M", males), ("F", females)):
-        params = fitted[label][0]
-        scores = np.array([model_score(e.bodyweight_kg, e.total_kg, params) for e in subset])
+        registry = ScoreRegistry()
+        registry.add_model_params(Sex(label), fitted[label][0])
+        scores = np.array([score for _, score in score_dataset(subset, "model", registry)])
         skews[label] = score_distribution(scores).skewness
         # exercise the remaining diagnostics on the same pipeline output
         myriad_averages(

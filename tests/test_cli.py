@@ -277,6 +277,38 @@ class TestScoreCommand:
         lines = (out / "scored.csv").read_text().strip().splitlines()
         assert lines[1].rsplit(",", 1)[1] == "500.000"
 
+    @pytest.mark.parametrize("value", [None, "x"])
+    @pytest.mark.parametrize(
+        "layout, record, field",
+        [
+            ("config", {"system": "ipf_gl", "sex": "M", "A": 1200.0, "B": 1000.0, "C": 0.01}, "A"),
+            ("config", {"system": "wilks", "sex": "M", "a": 500.0, "b": 0.0, "c": 0.0,
+                        "d": 0.0, "e": 0.0, "f": 0.0, "C": 500.0}, "C"),
+            ("params", {"sex": "M", "dataset": "original", "family": "logistic",
+                        "L": 722.3, "k": 0.05447, "x0": 53.4}, "L"),
+            ("params", to_table_record(LOGISTIC_MALE, "M", "resampled"), "L_1e2kg"),
+        ],
+        ids=["config-gl", "config-wilks", "params-internal", "params-table"],
+    )
+    def test_non_numeric_coefficient_exits_2_naming_it(
+        self, tmp_path, monkeypatch, capsys, layout, record, field, value
+    ):
+        src = tmp_path / "data.csv"
+        write_normalized_csv([make_entry(93.0, 700.0, sex=Sex.MALE)], src)
+        record_file = tmp_path / "record.json"
+        record_file.write_text(json.dumps([{**record, field: value}]))
+        args = ["score", "--input", str(src), "--output-dir", str(tmp_path / "o")]
+        if layout == "config":
+            monkeypatch.setenv("LIFTCURVE_CONFIG", str(record_file))
+            system = record["system"]
+            args += ["--system", system]
+        else:
+            system = "model"
+            args += ["--system", "model", "--params", str(record_file)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{system}/M" in err and repr(field) in err and repr(value) in err
+
     def test_missing_sex_coefficients_exit_2(self, tmp_path, monkeypatch):
         config = tmp_path / "male_only.json"
         config.write_text(

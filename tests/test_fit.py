@@ -124,8 +124,6 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(np.linspace(1, 5, 20), np.ones(19), FitConfig(family=ModelFamily.LOGISTIC))
         with pytest.raises(ValueError):
-            FitConfig(family=ModelFamily.LOGISTIC, tolerance=0.0)
-        with pytest.raises(ValueError):
             FitConfig(family=ModelFamily.LOGISTIC, bounds=((1.0, 1.0), (0.1, 1.0), (0.0, 1.0)))
 
 

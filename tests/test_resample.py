@@ -6,6 +6,7 @@ from scipy import stats
 
 from liftcurve.kde import KdeModel, fit_kde
 from liftcurve.resample import (
+    DEFAULT_WEIGHT_FLOOR,
     ResamplePlan,
     compute_weights,
     flatten_resample,
@@ -44,8 +45,8 @@ class TestWeights:
         # the lone kernel sits 10 bandwidths away: g ~ 7.7e-23 << floor
         entries = [make_entry(10.0, 300.0)]
         kde = KdeModel(points=np.array([0.0]), bandwidth=1.0)
-        weights = compute_weights(entries, kde, floor=1e-6)
-        assert weights[0] == pytest.approx(1e6, rel=1e-12)
+        weights = compute_weights(entries, kde)
+        assert weights[0] == pytest.approx(1 / DEFAULT_WEIGHT_FLOOR, rel=1e-12)
 
     def test_weights_positive_and_finite(self):
         entries = uniform_entries(500, seed=3)

@@ -114,7 +114,6 @@ class TestModelScore:
         x = 93.0
         y = evaluate(LOGISTIC_MALE_RESAMPLED, x)
         assert model_score(x, y, LOGISTIC_MALE_RESAMPLED) == 100.0
-        assert model_score(x, y, LOGISTIC_MALE_RESAMPLED, scale=500.0) == 500.0
 
     def test_linear_in_total(self):
         base = model_score(93.0, 300.0, LOGISTIC_MALE_RESAMPLED)
@@ -349,6 +348,20 @@ class TestVectorisedScoring:
             assert [score for _, score in scored] == [
                 row_reference.score_entry(e, system, registry) for e in scorable
             ]
+
+    @pytest.mark.parametrize("x, y", [("93", 700.0), (b"93", 700.0), (None, 700.0), (93.0, "700"), (93.0, None)])
+    def test_per_row_scorers_reject_non_numbers(self, x, y):
+        registry = model_registry()
+        for scorer, reference, system in (
+            (wilks_score, row_reference.wilks_score, "wilks"),
+            (gl_score, row_reference.gl_score, "ipf_gl"),
+            (model_score, row_reference.model_score, "model"),
+        ):
+            coeffs = registry.resolve(system, Sex.MALE)
+            with pytest.raises(TypeError) as want:
+                reference(x, y, coeffs)
+            with pytest.raises(TypeError, match=re.escape(str(want.value))):
+                scorer(x, y, coeffs)
 
     @settings(max_examples=60, deadline=None)
     @given(entry_rows)
