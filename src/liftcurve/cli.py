@@ -84,12 +84,14 @@ def _requested_sexes(tag: str) -> list[Sex]:
 
 
 def _policy_payload(policy: FilterPolicy) -> dict:
+    """Manifest policy keys: the analysis-set switch is written under each
+    ``require_*`` key and ``bodyweight_range`` is null, so manifests keep their layout."""
     return {
-        "require_raw": policy.require_raw,
-        "require_open_division": policy.require_open_division,
-        "require_full_event": policy.require_full_event,
+        "require_raw": policy.analysis_set,
+        "require_open_division": policy.analysis_set,
+        "require_full_event": policy.analysis_set,
         "sex": policy.sex.value if policy.sex else None,
-        "bodyweight_range": list(policy.bodyweight_range) if policy.bodyweight_range else None,
+        "bodyweight_range": None,
     }
 
 

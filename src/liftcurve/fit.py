@@ -6,8 +6,9 @@ So for any ``(k, x0)`` the best amplitude has the closed form
 ``sum((L* g(x_i) - y_i)^2)`` over ``(k, x0)`` alone (variable projection,
 Golub & Pereyra 1973) with one bounded trust-region-reflective
 ``scipy.optimize.least_squares`` call and the exact Jacobian of that
-reduced residual. ``init.L`` is therefore unused; the solver's ``ftol``,
-``xtol`` and ``gtol`` are all :data:`TOLERANCE`.
+reduced residual, started from the ``(k, x0)`` of :func:`auto_init` inside
+:func:`default_bounds`. The solver's ``ftol``, ``xtol`` and ``gtol`` are all
+:data:`TOLERANCE`.
 """
 
 from __future__ import annotations
@@ -26,25 +27,17 @@ TOLERANCE = 1e-10  # the solver's ftol, xtol and gtol
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Solver configuration; ``init=None`` triggers :func:`auto_init`.
+    """Solver configuration: the curve family and a cap on function evaluations.
 
-    Only ``init.k`` and ``init.x0`` are used: ``L`` is solved in closed
-    form. ``max_iterations`` caps function evaluations; the solver stops
-    at :data:`TOLERANCE`.
+    The solver stops at :data:`TOLERANCE` or at ``max_iterations``.
     """
 
     family: ModelFamily
-    init: GrowthParams | None = None
-    bounds: Bounds | None = None
     max_iterations: int = 200
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.bounds is not None:
-            for lo, hi in self.bounds:
-                if not lo < hi:
-                    raise ValueError(f"bounds need lo < hi, got ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
@@ -100,12 +93,12 @@ def default_bounds(x: np.ndarray, y: np.ndarray) -> Bounds:
     )
 
 
-def auto_init(x, y, family: ModelFamily, bounds: Bounds | None = None) -> GrowthParams:
+def auto_init(x, y, family: ModelFamily) -> GrowthParams:
     """Data-driven starting point.
 
     ``L0 = 1.05*max(y)``; ``k0 = 2/range(x)``; the location starts below
     the data for Von Bertalanffy and two rate lengths under the median
-    for the logistic. The result is projected into ``bounds``.
+    for the logistic. The result is projected into :func:`default_bounds`.
     """
     x, y = _validate_data(x, y)
     x_range = float(np.max(x) - np.min(x))
@@ -117,9 +110,7 @@ def auto_init(x, y, family: ModelFamily, bounds: Bounds | None = None) -> Growth
         x0 = 0.25 * float(np.quantile(x, 0.01))
     else:
         x0 = float(np.median(x)) - 2.0 / k0
-    if bounds is None:
-        bounds = default_bounds(x, y)
-    lo, hi = np.array(bounds).T
+    lo, hi = np.array(default_bounds(x, y)).T
     L0, k0, x0 = np.clip([L0, k0, x0], lo, hi)
     return GrowthParams(family=family, L=float(L0), k=float(k0), x0=float(x0))
 
@@ -139,9 +130,8 @@ def fit(x, y, config: FitConfig) -> FitResult:
     from scipy.optimize import least_squares
 
     x, y = _validate_data(x, y)
-    bounds = config.bounds if config.bounds is not None else default_bounds(x, y)
-    init = config.init if config.init is not None else auto_init(x, y, config.family, bounds)
-    (L_lo, L_hi), *nonlinear = bounds
+    init = auto_init(x, y, config.family)
+    (L_lo, L_hi), *nonlinear = default_bounds(x, y)
     lo, hi = np.array(nonlinear).T
 
     @lru_cache(maxsize=1)  # least_squares asks for the residual and the Jacobian at the same point
@@ -166,7 +156,7 @@ def fit(x, y, config: FitConfig) -> FitResult:
         return L * dg + np.outer(g, dL)
 
     sol = least_squares(
-        residual, np.clip([init.k, init.x0], lo, hi), jac=jacobian, bounds=(lo, hi), method="trf",
+        residual, [init.k, init.x0], jac=jacobian, bounds=(lo, hi), method="trf",
         x_scale="jac", ftol=TOLERANCE, xtol=TOLERANCE, gtol=TOLERANCE, max_nfev=config.max_iterations,
     )
     # On flat data trf can stop inside the box where the SSE has underflowed,

@@ -56,7 +56,6 @@ DROP_REASONS = (
     "missing_lift",
     "missing_total",
     "inconsistent_total",
-    "bodyweight_range",
 )
 
 # Rows per block: bounds the memory held in raw cells while reading. On
@@ -90,26 +89,19 @@ class LifterEntry(NamedTuple):
 class FilterPolicy:
     """Row filters applied during parsing.
 
-    The division match is a case-insensitive substring test for "open"
-    because the upstream field is free text.
+    ``analysis_set`` keeps only the analysis set: raw equipment, an open
+    division and the full SBD event. The division match is a
+    case-insensitive substring test for "open" because the upstream field
+    is free text. ``sex`` keeps one sex, ``None`` both.
     """
 
-    require_raw: bool = True
-    require_open_division: bool = True
-    require_full_event: bool = True
+    analysis_set: bool = True
     sex: Sex | None = None
-    bodyweight_range: tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.bodyweight_range is not None:
-            lo, hi = self.bodyweight_range
-            if not lo < hi:
-                raise ValueError(f"bodyweight_range needs min < max, got {self.bodyweight_range}")
 
 
 # Keeps any equipment, division and event: for reading back files written
 # from rows that already passed a policy.
-PASSTHROUGH_POLICY = FilterPolicy(require_raw=False, require_open_division=False, require_full_event=False)
+PASSTHROUGH_POLICY = FilterPolicy(analysis_set=False)
 
 
 @dataclass
@@ -162,23 +154,17 @@ def _classify_block(columns, policy: FilterPolicy) -> tuple[np.ndarray, list[Lif
     bodyweight, squat, bench, deadlift, total = map(_kg_column, columns[4:])
     never = np.zeros(len(sex), dtype=bool)
     sexes = tuple(Sex) if policy.sex is None else (policy.sex,)
-    if policy.bodyweight_range is None:
-        out_of_range = never
-    else:
-        lo, hi = policy.bodyweight_range
-        out_of_range = ~((lo <= bodyweight) & (bodyweight <= hi))
     with np.errstate(over="ignore"):  # a lift sum past the double range is inconsistent, as in Python
         lift_sum = squat + bench + deadlift
     conditions = [
         _fails(sex, lambda text: _SEX_BY_CODE.get(text.upper()) in sexes),
-        _fails(equipment, lambda text: text.lower() == "raw") if policy.require_raw else never,
-        _fails(division, lambda text: "open" in text.lower()) if policy.require_open_division else never,
-        _fails(event, lambda text: text.upper() == "SBD") if policy.require_full_event else never,
+        _fails(equipment, lambda text: text.lower() == "raw") if policy.analysis_set else never,
+        _fails(division, lambda text: "open" in text.lower()) if policy.analysis_set else never,
+        _fails(event, lambda text: text.upper() == "SBD") if policy.analysis_set else never,
         np.isnan(bodyweight),
         np.isnan(squat) | np.isnan(bench) | np.isnan(deadlift),
         np.isnan(total),
         np.abs(total - lift_sum) > TOTAL_SLACK_KG,
-        out_of_range,
     ]
     reasons = np.select(conditions, list(range(len(DROP_REASONS))), -1)
     kept = reasons < 0
@@ -224,7 +210,7 @@ def read_blocks(path, policy: FilterPolicy, extra_columns=()):
             yield reasons, entries, columns[len(REQUIRED_COLUMNS) :]
 
 
-def parse_csv(path, policy: FilterPolicy | None = None) -> tuple[list[LifterEntry], IngestStats]:
+def parse_csv(path, policy: FilterPolicy = FilterPolicy()) -> tuple[list[LifterEntry], IngestStats]:
     """Parse an OpenPowerlifting-format CSV, returning kept entries and stats.
 
     Raises :class:`SchemaError` if a required column is absent; I/O
@@ -232,8 +218,6 @@ def parse_csv(path, policy: FilterPolicy | None = None) -> tuple[list[LifterEntr
     the row is dropped and counted. Reasons are listed in order of first
     occurrence.
     """
-    if policy is None:
-        policy = FilterPolicy()
     entries: list[LifterEntry] = []
     dropped: dict[str, int] = {}
     total_rows = 0

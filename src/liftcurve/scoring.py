@@ -45,6 +45,14 @@ MODEL_SCORE_SCALE = 100.0
 SYSTEMS = ("wilks", "wilks2", "ipf_gl", "model")
 
 
+def _require_finite(kind: str, coeffs) -> None:
+    """Raise :class:`ConfigError` naming the first non-finite field of ``coeffs``:
+    the range checks pass inf and miss NaN, which compares false."""
+    for name, value in vars(coeffs).items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{kind} coefficient {name!r} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WilksCoefficients:
     """Denominator polynomial ``a + bx + ... + fx^5`` plus the numerator constant C."""
@@ -58,6 +66,7 @@ class WilksCoefficients:
     C: float
 
     def __post_init__(self) -> None:
+        _require_finite("Wilks", self)
         if self.C <= 0:
             raise ConfigError(f"Wilks constant C must be positive, got {self.C}")
         # reject configs whose polynomial dips non-positive anywhere on
@@ -85,6 +94,7 @@ class GlCoefficients:
     C: float
 
     def __post_init__(self) -> None:
+        _require_finite("GL", self)
         if not (self.A > 0 and self.B >= 0 and self.C > 0):
             raise ConfigError(f"GL coefficients out of range, got {self!r}")
         # denominator is increasing in x, so positivity at 30 kg covers the domain
@@ -109,6 +119,11 @@ def model_score(x: float, y: float, params: GrowthParams) -> float:
     bodyweights at or below the model's zero.
     """
     return _score_row("model", params, x, y)
+
+
+def _require_object(record) -> None:
+    if not isinstance(record, dict):
+        raise ConfigError(f"coefficient record {record!r} is not a JSON object")
 
 
 class ScoreRegistry:
@@ -144,6 +159,7 @@ class ScoreRegistry:
         return cls.from_records(payload)
 
     def _add_record(self, record: dict) -> None:
+        _require_object(record)
         try:
             system = record["system"]
             sex = Sex(record["sex"])
@@ -179,6 +195,7 @@ class ScoreRegistry:
         record with extra fields).
         """
         for record in records:
+            _require_object(record)
             if "L_1e2kg" in record:
                 try:
                     params, sex, _ = from_table_record(record)

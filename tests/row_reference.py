@@ -62,15 +62,15 @@ def classify_row(row, policy):
         return "sex"
 
     equipment = (row.get("Equipment") or "").strip()
-    if policy.require_raw and equipment.lower() != "raw":
+    if policy.analysis_set and equipment.lower() != "raw":
         return "equipment"
 
     division = (row.get("Division") or "").strip()
-    if policy.require_open_division and "open" not in division.lower():
+    if policy.analysis_set and "open" not in division.lower():
         return "division"
 
     event = (row.get("Event") or "").strip()
-    if policy.require_full_event and event.upper() != "SBD":
+    if policy.analysis_set and event.upper() != "SBD":
         return "event"
 
     bodyweight = parse_kg(row.get("BodyweightKg"))
@@ -88,11 +88,6 @@ def classify_row(row, policy):
         return "missing_total"
     if abs(total - (squat + bench + deadlift)) > TOTAL_SLACK_KG:
         return "inconsistent_total"
-
-    if policy.bodyweight_range is not None:
-        lo, hi = policy.bodyweight_range
-        if not lo <= bodyweight <= hi:
-            return "bodyweight_range"
 
     return LifterEntry(
         sex=sex,
@@ -130,9 +125,7 @@ def first_line(end, row):
     return end - sum(len(LINE_BREAK.findall(cell)) for cell in cells)
 
 
-def parse_csv(path, policy=None):
-    if policy is None:
-        policy = FilterPolicy()
+def parse_csv(path, policy=FilterPolicy()):
     entries = []
     dropped = Counter()
     total_rows = 0

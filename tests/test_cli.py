@@ -17,6 +17,14 @@ from synth import flattened_female_xy, logistic_xy, make_entry
 FIXTURE = Path(__file__).parent / "data" / "sample20.csv"
 WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
 LOGISTIC_MALE = GrowthParams(ModelFamily.LOGISTIC, 722.3, 0.05447, 53.40)
+# the "policy" payload that ingest and fit write to their manifests
+MANIFEST_POLICY = {
+    "bodyweight_range": None,
+    "require_full_event": True,
+    "require_open_division": True,
+    "require_raw": True,
+    "sex": None,
+}
 
 
 def write_entries_csv(path, n_per_sex=600, seed=51):
@@ -80,6 +88,13 @@ class TestIngestCommand:
         assert code == 0
         entries, _ = parse_csv(out / "normalized.csv")
         assert len(entries) == 5 and all(e.sex is Sex.FEMALE for e in entries)
+
+    @pytest.mark.parametrize("sex_args, sex", [([], None), (["--sex", "F"], "F")])
+    def test_manifest_records_the_policy(self, tmp_path, sex_args, sex):
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(FIXTURE), "--output-dir", str(out), *sex_args]) == 0
+        manifest = json.loads((out / "ingest_manifest.json").read_text())
+        assert manifest["policy"] == {**MANIFEST_POLICY, "sex": sex}
 
 
 class TestFitCommand:
@@ -156,6 +171,17 @@ class TestFitCommand:
         first = read_tree(out)
         assert main(argv) == 0
         assert read_tree(out) == first
+
+    def test_manifest_records_policy_and_solver_settings(self, tmp_path):
+        src = tmp_path / "data.csv"
+        write_entries_csv(src)
+        out = tmp_path / "out"
+        argv = ["fit", "--input", str(src), "--output-dir", str(out), "--family", "vb", "--sex", "M",
+                "--max-iterations", "150"]
+        assert main(argv) == 0
+        manifest = json.loads((out / "fit_manifest.json").read_text())
+        assert manifest["policy"] == MANIFEST_POLICY
+        assert manifest["fit_config"] == {"max_iterations": 150, "tolerance": 1e-10}
 
     def test_seed_changes_resample_output(self, tmp_path):
         src = tmp_path / "data.csv"
@@ -308,6 +334,35 @@ class TestScoreCommand:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert f"{system}/M" in err and repr(field) in err and repr(value) in err
+
+    @pytest.mark.parametrize("layout, payload", [("config", [1]), ("params", ["abc"])])
+    def test_non_object_record_exits_2_naming_it(self, tmp_path, monkeypatch, capsys, layout, payload):
+        src = tmp_path / "data.csv"
+        write_normalized_csv([make_entry(93.0, 700.0, sex=Sex.MALE)], src)
+        record_file = tmp_path / "record.json"
+        record_file.write_text(json.dumps(payload))
+        args = ["score", "--input", str(src), "--output-dir", str(tmp_path / "o")]
+        if layout == "config":
+            monkeypatch.setenv("LIFTCURVE_CONFIG", str(record_file))
+            args += ["--system", "wilks"]
+        else:
+            args += ["--system", "model", "--params", str(record_file)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"record {payload[0]!r} is not a JSON object" in err
+
+    def test_non_finite_coefficient_exits_2_naming_it(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps([{"system": "wilks", "sex": "M", "a": 500.0, "b": 0.0, "c": 0.0,
+                         "d": 0.0, "e": 0.0, "f": 0.0, "C": "inf"}])
+        )
+        monkeypatch.setenv("LIFTCURVE_CONFIG", str(config))
+        src = tmp_path / "data.csv"
+        write_normalized_csv([make_entry(93.0, 700.0, sex=Sex.MALE)], src)
+        args = ["score", "--input", str(src), "--output-dir", str(tmp_path / "o"), "--system", "wilks"]
+        assert main(args) == 2
+        assert "Wilks coefficient 'C' must be finite, got inf" in capsys.readouterr().err
 
     def test_missing_sex_coefficients_exit_2(self, tmp_path, monkeypatch):
         config = tmp_path / "male_only.json"

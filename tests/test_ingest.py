@@ -97,18 +97,8 @@ class TestPolicies:
         # 5 female keepers, the female bad-total row, and Mx all land on sex
         assert stats.dropped_by_reason["sex"] == 7
 
-    def test_bodyweight_range_filter(self):
-        entries, stats = parse_csv(FIXTURE, FilterPolicy(bodyweight_range=(60.0, 100.0)))
-        assert all(60.0 <= e.bodyweight_kg <= 100.0 for e in entries)
-        assert stats.dropped_by_reason["bodyweight_range"] == 5  # 52, 57, 105.3, 120, 140.5
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            FilterPolicy(bodyweight_range=(100.0, 50.0))
-
     def test_permissive_policy_keeps_equipped(self):
-        policy = FilterPolicy(require_raw=False, require_open_division=False, require_full_event=False)
-        entries, stats = parse_csv(FIXTURE, policy)
+        entries, stats = parse_csv(FIXTURE, FilterPolicy(analysis_set=False))
         assert any(e.equipment == "Single-ply" for e in entries)
         assert any(e.division == "Juniors" for e in entries)
         # the B-event row has missing lifts, so it still drops
@@ -202,11 +192,8 @@ def csv_rows(draw):
 
 policies = st.builds(
     FilterPolicy,
-    require_raw=st.booleans(),
-    require_open_division=st.booleans(),
-    require_full_event=st.booleans(),
+    analysis_set=st.booleans(),
     sex=st.sampled_from([None, Sex.MALE, Sex.FEMALE]),
-    bodyweight_range=st.sampled_from([None, (40.0, 120.0)]),
 )
 
 

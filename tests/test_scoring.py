@@ -205,6 +205,23 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="C"):
             ScoreRegistry.from_records([record])
 
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            ({"system": "wilks", "sex": "M", "a": "nan", "b": 0.0, "c": 0.0, "d": 0.0, "e": 0.0, "f": 0.0,
+              "C": 500.0}, "a"),
+            ({"system": "wilks", "sex": "M", "a": 500.0, "b": 0.0, "c": 0.0, "d": 0.0, "e": 0.0, "f": 0.0,
+              "C": "inf"}, "C"),
+            ({"system": "wilks2", "sex": "F", "a": 500.0, "b": 0.0, "c": 0.0, "d": 0.0, "e": 0.0, "f": "inf",
+              "C": 600.0}, "f"),
+            ({"system": "ipf_gl", "sex": "M", "A": "inf", "B": 1000.0, "C": 0.01}, "A"),
+        ],
+        ids=["wilks-a-nan", "wilks-C-inf", "wilks-f-inf", "gl-A-inf"],
+    )
+    def test_non_finite_coefficient_rejected_at_load(self, record, field):
+        with pytest.raises(ConfigError, match=f"coefficient '{field}' must be finite"):
+            ScoreRegistry.from_records([record])
+
     def test_model_params_registration(self):
         registry = ScoreRegistry.from_records([])
         registry.add_model_params(Sex.MALE, LOGISTIC_MALE_RESAMPLED)
