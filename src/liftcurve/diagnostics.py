@@ -223,33 +223,32 @@ def fraction_below(bodyweight_kg, threshold_kg: float) -> float:
 _WRITE_ROWS = 4096
 
 
-def _write_columns(writer, *columns) -> None:
+def _write_columns(fh, *columns) -> None:
     """Write equal-length columns as rows, a block of rows at a time.
 
-    ``csv`` writes a float as its repr, and ``tolist`` keeps integer counts
-    as ints; blocks keep the Python copies of the columns small.
+    Each cell is the ``repr`` of its value, which is how :mod:`csv` writes a
+    float or an int, and neither is ever quoted; ``tolist`` keeps integer
+    counts as ints, and blocks keep the Python copies of the columns small.
     """
+    row = ",".join(["%r"] * len(columns)) + "\r\n"
     for i in range(0, len(columns[0]), _WRITE_ROWS):
-        writer.writerows(zip(*(column[i : i + _WRITE_ROWS].tolist() for column in columns)))
+        fh.writelines(map(row.__mod__, zip(*(column[i : i + _WRITE_ROWS].tolist() for column in columns))))
 
 
 def write_myriad_csv(bins: MyriadBins, path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mean_bodyweight_kg", "mean_total_kg", "count"])
-        _write_columns(writer, bins.mean_bodyweight_kg, bins.mean_total_kg, bins.counts)
+        csv.writer(fh).writerow(["mean_bodyweight_kg", "mean_total_kg", "count"])
+        _write_columns(fh, bins.mean_bodyweight_kg, bins.mean_total_kg, bins.counts)
 
 
 def write_quantiles_csv(rq: RollingQuantiles, path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["center_bodyweight_kg"] + [f"q{level:g}" for level in rq.levels])
-        _write_columns(writer, rq.center_bodyweight_kg, *rq.values.T)
+        csv.writer(fh).writerow(["center_bodyweight_kg"] + [f"q{level:g}" for level in rq.levels])
+        _write_columns(fh, rq.center_bodyweight_kg, *rq.values.T)
 
 
 def write_distribution_csv(dist: ScoreDistribution, path) -> None:
     edges = dist.histogram_edges
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "count"])
-        _write_columns(writer, edges[:-1], edges[1:], dist.histogram_counts)
+        csv.writer(fh).writerow(["bin_left", "bin_right", "count"])
+        _write_columns(fh, edges[:-1], edges[1:], dist.histogram_counts)

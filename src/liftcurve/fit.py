@@ -1,14 +1,18 @@
 """Nonlinear least squares for growth-curve parameters.
 
 Both families are linear in the amplitude ``L``: ``f(x) = L * g(x; k, x0)``.
-So for any ``(k, x0)`` the best amplitude has the closed form
-``L* = clip(g.y / g.g, L_lo, L_hi)``, and :func:`fit` minimises
-``sum((L* g(x_i) - y_i)^2)`` over ``(k, x0)`` alone (variable projection,
-Golub & Pereyra 1973) with one bounded trust-region-reflective
+Ingest rounds bodyweights to 0.01 kg, so rows pile up on few distinct
+bodyweights. :func:`fit` therefore runs over the distinct bodyweights
+``x_j``, each with its row count ``n_j`` and mean total ``ybar_j``:
+``sum_i (f(x_i) - y_i)^2 = sum_j n_j (f(x_j) - ybar_j)^2 + const``, so both
+sums have the same minimiser. For any ``(k, x0)`` the best amplitude has the
+closed form ``L* = clip(sum n g ybar / sum n g^2, L_lo, L_hi)``, and the fit
+minimises ``sum n (L* g - ybar)^2`` over ``(k, x0)`` alone (variable
+projection, Golub & Pereyra 1973) with one bounded trust-region-reflective
 ``scipy.optimize.least_squares`` call and the exact Jacobian of that
 reduced residual, started from the ``(k, x0)`` of :func:`auto_init` inside
 :func:`default_bounds`. The solver's ``ftol``, ``xtol`` and ``gtol`` are all
-:data:`TOLERANCE`.
+:data:`TOLERANCE`. The reported SSE and RMSE are over every input row.
 """
 
 from __future__ import annotations
@@ -118,12 +122,14 @@ def auto_init(x, y, family: ModelFamily) -> GrowthParams:
 def fit(x, y, config: FitConfig) -> FitResult:
     """Fit growth-curve parameters to ``(bodyweight, total)`` data.
 
-    Deterministic for fixed data and config. A fit that stops at the
-    evaluation cap, or whose ``(k, x0)`` the data do not identify (the
-    reduced Jacobian is numerically singular), returns ``converged=False``
-    rather than raising. ``active_bounds`` says which parameters the box,
-    not the data, holds: L's from the clip of its closed form, k's and
-    x0's from the solver's active set.
+    The solver runs over the distinct bodyweights (see the module
+    docstring); ``sse``, ``rmse`` and ``covariance_proxy`` are those of the
+    fitted curve on every row. Deterministic for fixed data and config. A
+    fit that stops at the evaluation cap, or whose ``(k, x0)`` the data do
+    not identify (the reduced Jacobian is numerically singular), returns
+    ``converged=False`` rather than raising. ``active_bounds`` says which
+    parameters the box, not the data, holds: L's from the clip of its
+    closed form, k's and x0's from the solver's active set.
     """
     # imported here, not at module level: scipy.optimize takes longer to
     # import than the rest of the package, and only fitting needs it
@@ -133,27 +139,34 @@ def fit(x, y, config: FitConfig) -> FitResult:
     init = auto_init(x, y, config.family)
     (L_lo, L_hi), *nonlinear = default_bounds(x, y)
     lo, hi = np.array(nonlinear).T
+    # sqrt(n)-weighted rows over the distinct bodyweights xs: the same J^T J as
+    # the full fit, and an SSE short of it by a constant
+    xs, group, n = np.unique(x, return_inverse=True, return_counts=True)
+    y_sum = np.bincount(group, weights=y)
+    y_bar = y_sum / n
+    root_n = np.sqrt(n)
 
     @lru_cache(maxsize=1)  # least_squares asks for the residual and the Jacobian at the same point
     def project(key: bytes):
-        """Unit curve g, its (k, x0) columns, g.g, the best L and its clipped side (-1, 0 or +1)."""
-        grad = param_gradient(GrowthParams(config.family, 1.0, *np.frombuffer(key)), x)
+        """Unit curve g, its (k, x0) columns, n.g^2, the best L and its clipped side (-1, 0 or +1)."""
+        grad = param_gradient(GrowthParams(config.family, 1.0, *np.frombuffer(key)), xs)
         g, dg = grad[:, 0], grad[:, 1:]
-        gg = g @ g
-        L_free = (g @ y) / gg
+        ng = n * g
+        gg = ng @ g
+        L_free = (g @ y_sum) / gg
         side = 0 if L_lo < L_free < L_hi else -1 if L_free <= L_lo else 1
-        return g, dg, gg, min(max(L_free, L_lo), L_hi), side
+        return g, dg, ng, gg, min(max(L_free, L_lo), L_hi), side
 
     def residual(theta: np.ndarray) -> np.ndarray:
-        g, _, _, L, _ = project(theta.tobytes())
-        return L * g - y
+        g, *_, L, _ = project(theta.tobytes())
+        return root_n * (L * g - y_bar)
 
     def jacobian(theta: np.ndarray) -> np.ndarray:
-        g, dg, gg, L, side = project(theta.tobytes())
-        if side:
-            return L * dg
-        dL = (dg.T @ y - 2.0 * L * (dg.T @ g)) / gg
-        return L * dg + np.outer(g, dL)
+        g, dg, ng, gg, L, side = project(theta.tobytes())
+        jac = L * dg
+        if not side:  # a clipped L does not move with (k, x0)
+            jac += np.outer(g, (dg.T @ y_sum - 2.0 * L * (dg.T @ ng)) / gg)
+        return root_n[:, None] * jac
 
     sol = least_squares(
         residual, [init.k, init.x0], jac=jacobian, bounds=(lo, hi), method="trf",
@@ -166,12 +179,13 @@ def fit(x, y, config: FitConfig) -> FitResult:
     identified = smallest > np.sqrt(np.finfo(float).eps) * np.linalg.norm(y)
 
     k, x0 = map(float, sol.x)
-    *_, L, L_side = project(sol.x.tobytes())
+    g, *_, L, L_side = project(sol.x.tobytes())
     params = GrowthParams(config.family, float(L), k, x0)
-    sse = float(sol.fun @ sol.fun)
-    jac = param_gradient(params, x)
+    r = L * g[group] - y
+    sse = float(r @ r)
+    jac = param_gradient(params, xs)
     dof = max(x.size - 3, 1)
-    covariance = (sse / dof) * np.linalg.pinv(jac.T @ jac)
+    covariance = (sse / dof) * np.linalg.pinv(jac.T @ (n[:, None] * jac))
     return FitResult(
         params=params,
         sse=sse,

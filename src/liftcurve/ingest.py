@@ -14,16 +14,22 @@ reason from numpy masks, and entries are built only for the rows kept.
 Blank lines are skipped, cells missing from a short row read as empty and
 a repeated column name takes its last occurrence, as with
 :class:`csv.DictReader`.
+
+Files are written a column at a time too (:func:`normalized_lines`): each
+distinct text cell is quoted once, as :mod:`csv` quotes it, and each row is
+then formatted in one ``%`` operation, byte for byte what
+:class:`csv.writer` writes.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 from dataclasses import dataclass
 from itertools import compress, islice
-from operator import itemgetter
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -197,15 +203,18 @@ def read_blocks(path, policy: FilterPolicy, extra_columns=()):
             raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
         # a repeated name maps to its last occurrence
         position = {name: i for i, name in enumerate(header)}
-        cells_of = itemgetter(*(position[name] for name in names))
-        width = max(map(position.__getitem__, names)) + 1
+        positions = [position[name] for name in names]
+        width = max(positions) + 1
         while block := list(islice(reader, _BLOCK_ROWS)):
             rows = list(filter(None, block))
             if not rows:
                 continue
             if min(map(len, rows)) < width:
                 rows = [row + [""] * (width - len(row)) for row in rows]
-            columns = list(zip(*map(cells_of, rows)))
+            # zip hands out one column at a time, so the columns past the
+            # last one wanted are never built
+            columns = list(islice(zip(*rows), width))
+            columns = [columns[i] for i in positions]
             reasons, entries = _classify_block(columns[: len(REQUIRED_COLUMNS)], policy)
             yield reasons, entries, columns[len(REQUIRED_COLUMNS) :]
 
@@ -231,24 +240,41 @@ def parse_csv(path, policy: FilterPolicy = FilterPolicy()) -> tuple[list[LifterE
     return entries, stats
 
 
-def normalized_cells(entry: LifterEntry) -> list[str]:
-    """The cells of ``entry``'s normalized row, in :data:`REQUIRED_COLUMNS` order."""
-    return [
-        entry.sex.value,
-        entry.equipment,
-        entry.division,
-        entry.event,
-        f"{entry.bodyweight_kg:.2f}",
-        f"{entry.best_squat_kg:.2f}",
-        f"{entry.best_bench_kg:.2f}",
-        f"{entry.best_deadlift_kg:.2f}",
-        f"{entry.total_kg:.2f}",
-    ]
+_KG_FIELDS = ("bodyweight_kg", "best_squat_kg", "best_bench_kg", "best_deadlift_kg", "total_kg")
+_NORMALIZED_ROW = "%s,%s,%s,%s,%.2f,%.2f,%.2f,%.2f,%.2f"
+
+
+def _csv_cell(value) -> str:
+    """``value`` as :class:`csv.writer` writes it in a row of several cells: quoted only if it must be."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([value, ""])
+    return buffer.getvalue()[: -len(",\r\n")]
+
+
+def normalized_lines(entries, extra_cells=None):
+    """Each entry's normalized row as :class:`csv.writer` writes it, line end included.
+
+    Cells come in :data:`REQUIRED_COLUMNS` order, kg values with 2
+    decimals. ``extra_cells``, if given, adds one cell per entry after
+    them; those cells are written as they are, so they must be text that
+    :mod:`csv` would not quote, such as a formatted number.
+    """
+    entries = list(entries)
+    columns = []
+    # ``_value_`` is the sex code without the per-row cost of Enum's ``value`` property
+    for text in map(attrgetter, ("sex._value_", "equipment", "division", "event")):
+        cells = list(map(text, entries))
+        quoted = {cell: _csv_cell(cell) for cell in set(cells)}
+        columns.append(map(quoted.__getitem__, cells))
+    columns += (map(attrgetter(name), entries) for name in _KG_FIELDS)
+    if extra_cells is not None:
+        columns.append(extra_cells)
+    row = _NORMALIZED_ROW + ",%s" * (len(columns) - len(REQUIRED_COLUMNS)) + "\r\n"
+    return map(row.__mod__, zip(*columns))
 
 
 def write_normalized_csv(entries, path) -> None:
     """Write entries back out with upstream column names and 2-decimal kg values."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REQUIRED_COLUMNS)
-        writer.writerows(map(normalized_cells, entries))
+        csv.writer(fh).writerow(REQUIRED_COLUMNS)
+        fh.writelines(normalized_lines(entries))

@@ -26,13 +26,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .ingest import DROP_REASONS, PASSTHROUGH_POLICY, REQUIRED_COLUMNS, LifterEntry, Sex, normalized_cells, read_blocks
+from .ingest import DROP_REASONS, PASSTHROUGH_POLICY, REQUIRED_COLUMNS, LifterEntry, Sex, normalized_lines, read_blocks
 from .models import GrowthParams, evaluate, float_fields, from_table_record, parse_family
 
 WILKS_DOMAIN_KG = (30.0, 250.0)
@@ -169,11 +171,11 @@ class ScoreRegistry:
         if system in ("wilks", "wilks2", "ipf_gl"):
             try:
                 fields = float_fields(record, "ABC" if system == "ipf_gl" else "abcdefC")
+                coeffs = GlCoefficients(**fields) if system == "ipf_gl" else WilksCoefficients(**fields)
             except KeyError as exc:
                 raise ConfigError(f"{where}: missing coefficient {exc.args[0]!r}") from None
-            except ValueError as exc:
+            except ValueError as exc:  # also the ConfigError of an out-of-range coefficient
                 raise ConfigError(f"{where}: {exc}") from None
-            coeffs = GlCoefficients(**fields) if system == "ipf_gl" else WilksCoefficients(**fields)
         elif system == "model":
             try:
                 coeffs = GrowthParams(parse_family(record["family"]), **float_fields(record, ("L", "k", "x0")))
@@ -223,14 +225,21 @@ def default_registry() -> ScoreRegistry:
 
 
 def _columns_by_sex(entries: list[LifterEntry]) -> list[tuple[Sex, np.ndarray, np.ndarray, np.ndarray]]:
-    """``(sex, rows, bodyweights, totals)`` per sex, in order of first appearance."""
-    x = np.array([e.bodyweight_kg for e in entries], dtype=float)
-    y = np.array([e.total_kg for e in entries], dtype=float)
-    sexes = [e.sex for e in entries]
+    """``(sex, rows, bodyweights, totals)`` per sex, in order of first appearance.
+
+    A row whose sex is not ``Sex.FEMALE`` is male. Sex is tested by
+    identity, which is cheaper per row than hashing the enum member.
+    """
+    n = len(entries)
+    x = np.fromiter(map(operator.attrgetter("bodyweight_kg"), entries), float, n)
+    y = np.fromiter(map(operator.attrgetter("total_kg"), entries), float, n)
+    female = np.fromiter(map(operator.is_, map(operator.attrgetter("sex"), entries), repeat(Sex.FEMALE)), bool, n)
+    order = (Sex.FEMALE, Sex.MALE) if n and entries[0].sex is Sex.FEMALE else (Sex.MALE, Sex.FEMALE)
     groups = []
-    for sex in dict.fromkeys(sexes):
-        rows = np.flatnonzero([s is sex for s in sexes])
-        groups.append((sex, rows, x[rows], y[rows]))
+    for sex in order:
+        rows = np.flatnonzero(female if sex is Sex.FEMALE else ~female)
+        if rows.size:
+            groups.append((sex, rows, x[rows], y[rows]))
     return groups
 
 
@@ -372,10 +381,10 @@ def is_scored_csv(path) -> bool:
 def write_scored_csv(scored, path) -> None:
     """Write ``(entry, score)`` pairs as a normalized CSV with a Score column."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*REQUIRED_COLUMNS, SCORE_COLUMN])
-        for entry, score in scored:
-            writer.writerow([*normalized_cells(entry), f"{score:.3f}"])
+        csv.writer(fh).writerow([*REQUIRED_COLUMNS, SCORE_COLUMN])
+        scored = list(scored)
+        scores = map("%.3f".__mod__, map(operator.itemgetter(1), scored))
+        fh.writelines(normalized_lines(map(operator.itemgetter(0), scored), scores))
 
 
 def read_scored_csv(path) -> list[tuple[LifterEntry, float]]:

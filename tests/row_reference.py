@@ -8,6 +8,9 @@ on its own, with the checks in drop-reason order. The block reader of
 The scorers check and score one row at a time. The array kernel of
 ``liftcurve.scoring`` must give the same scores bit for bit and raise the
 same errors, for ``score_dataset`` and for the per-row scorers alike.
+
+The writers hand one row of cells at a time to :class:`csv.writer`. The
+column writers of ``liftcurve`` must write the same bytes.
 """
 
 import csv
@@ -152,6 +155,36 @@ def read_scored_csv(path):
             raise SchemaError(f"{path}:{line}: malformed Score cell") from None
         scored.append((outcome, score))
     return scored
+
+
+def normalized_cells(entry):
+    return [
+        entry.sex.value,
+        entry.equipment,
+        entry.division,
+        entry.event,
+        f"{entry.bodyweight_kg:.2f}",
+        f"{entry.best_squat_kg:.2f}",
+        f"{entry.best_bench_kg:.2f}",
+        f"{entry.best_deadlift_kg:.2f}",
+        f"{entry.total_kg:.2f}",
+    ]
+
+
+def write_normalized_csv(entries, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(REQUIRED_COLUMNS)
+        for entry in entries:
+            writer.writerow(normalized_cells(entry))
+
+
+def write_scored_csv(scored, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*REQUIRED_COLUMNS, SCORE_COLUMN])
+        for entry, score in scored:
+            writer.writerow([*normalized_cells(entry), f"{score:.3f}"])
 
 
 def _check_domain(x: float) -> None:

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -219,7 +220,22 @@ class TestRegistry:
         ids=["wilks-a-nan", "wilks-C-inf", "wilks-f-inf", "gl-A-inf"],
     )
     def test_non_finite_coefficient_rejected_at_load(self, record, field):
-        with pytest.raises(ConfigError, match=f"coefficient '{field}' must be finite"):
+        where = f"{record['system']}/{record['sex']}"
+        with pytest.raises(ConfigError, match=f"^{where}: .*coefficient '{field}' must be finite"):
+            ScoreRegistry.from_records([record])
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"system": "ipf_gl", "sex": "F", "A": -1.0, "B": 1000.0, "C": 0.01},
+             "ipf_gl/F: GL coefficients out of range"),
+            ({"system": "wilks", "sex": "F", "a": 500.0, "b": -5.0, "c": 0.0, "d": 0.0, "e": 0.0, "f": 0.0,
+              "C": 500.0}, "wilks/F: Wilks denominator polynomial is not positive"),
+        ],
+        ids=["gl-negative-A", "wilks-negative-b"],
+    )
+    def test_out_of_range_record_named(self, record, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             ScoreRegistry.from_records([record])
 
     def test_model_params_registration(self):
@@ -296,6 +312,44 @@ class TestScoreDataset:
         entries = [make_entry(80.0, 500.0, sex=Sex.MALE), make_entry(60.0, 300.0, sex=Sex.FEMALE)]
         with pytest.raises(ConfigError, match="F"):
             score_dataset(entries, "ipf_gl", registry)
+
+
+    def test_female_first_interleaved_rows_equal_row_reference(self):
+        # F, M, F, M, ...: the first row's sex comes first among the groups
+        rng = np.random.Generator(np.random.Philox(key=31))
+        registry = model_registry()
+        rows = np.round(rng.uniform([20.0, 100.0], [260.0, 900.0], size=(400, 2)), 2)
+        entries = [make_entry(bw, total, sex=(Sex.FEMALE, Sex.MALE)[i % 2]) for i, (bw, total) in enumerate(rows)]
+        for system in SYSTEMS:
+            errors = [raised_by(row_reference.score_entry, e, system, registry) for e in entries]
+            kept, counts = drop_unscorable(entries, system, registry)
+            if system == "model":
+                assert kept == entries and counts == {}
+            else:
+                assert kept == [e for e, error in zip(entries, errors) if error is None]
+                reasons = [
+                    "bodyweight_out_of_domain" if "domain" in str(error) else "non_positive_denominator"
+                    for error in errors
+                    if error is not None
+                ]
+                assert list(counts.items()) == list(Counter(reasons).items())
+                # women's Wilks polynomials are negative above ~208 kg; GL's denominator is positive
+                assert len(counts) == (1 if system == "ipf_gl" else 2)
+            scorable = [e for e, error in zip(entries, errors) if error is None]
+            scored = score_dataset(scorable, system, registry)
+            assert [e for e, _ in scored] == scorable
+            assert repr([score for _, score in scored]) == repr(
+                [row_reference.score_entry(e, system, registry) for e in scorable]
+            )
+
+    @pytest.mark.parametrize("first", list(Sex), ids=lambda sex: sex.value)
+    def test_with_no_sex_registered_the_first_sex_is_named(self, first):
+        other = Sex.MALE if first is Sex.FEMALE else Sex.FEMALE
+        entries = [make_entry(80.0, 500.0, sex=first), make_entry(60.0, 300.0, sex=other)]
+        registry = ScoreRegistry.from_records([])
+        for call in (score_dataset, drop_unscorable):
+            with pytest.raises(ConfigError, match=f"sex='{first.value}'"):
+                call(entries, "ipf_gl", registry)
 
 
 def model_registry() -> ScoreRegistry:
@@ -511,8 +565,36 @@ scored_pairs = st.lists(
 )
 
 
+any_floats = st.floats(allow_subnormal=True) | st.sampled_from([-0.0, 0.005, 2.675, 1e300])
+any_entries = st.builds(
+    LifterEntry,
+    sex=st.sampled_from(Sex),
+    bodyweight_kg=any_floats,
+    best_squat_kg=any_floats,
+    best_bench_kg=any_floats,
+    best_deadlift_kg=any_floats,
+    total_kg=any_floats,
+    equipment=text_cells | st.sampled_from(['a,b', 'say "x"', "two\nlines", "cr\r", " lead", ""]),
+    division=text_cells,
+    event=text_cells,
+)
+
+
 class TestScoredCsvFormat:
     """A scored CSV row is the normalized row of its entry plus a Score cell."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(any_entries, any_floats), max_size=20))
+    def test_bytes_equal_per_row_csv_writer(self, scored):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            entries = [entry for entry, _ in scored]
+            write_normalized_csv(iter(entries), got)
+            row_reference.write_normalized_csv(entries, want)
+            assert got.read_bytes() == want.read_bytes()
+            write_scored_csv(iter(scored), got)
+            row_reference.write_scored_csv(scored, want)
+            assert got.read_bytes() == want.read_bytes()
 
     @settings(max_examples=100, deadline=None)
     @given(scored_pairs)
