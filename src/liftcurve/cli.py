@@ -1,13 +1,22 @@
 """Command-line pipeline: ingest -> (resample) -> fit -> score -> diagnose.
 
-Every command writes a manifest JSON alongside its outputs; rerunning a
-command with an identical manifest (same input bytes, same arguments)
-reproduces every output file byte for byte. All randomness flows from the
-single ``--seed`` value; per-purpose sub-seeds are derived by hashing the
-seed with a fixed label.
+Each ``cmd_<name>(args, out_dir)`` does its command's work and returns
+``(exit code, manifest settings)``. :func:`main` creates the output
+directory, writes ``<command>_manifest.json`` for every command that
+returns, whatever its exit code, and maps exceptions to exit codes.
+Rerunning a command with an identical manifest (same input bytes, same
+arguments) reproduces every output file byte for byte. All randomness
+flows from the single ``--seed`` value; per-purpose sub-seeds are derived
+by hashing the seed with a fixed label.
 
-Exit codes: 0 ok, 1 I/O error, 2 config/schema error, 3 fit did not
-converge.
+Exit codes:
+
+- 0: ok.
+- 1: I/O error; no manifest.
+- 2: config or schema error, no manifest; or ``fit`` could not fit a
+  requested sex. Then the other sexes' fits and the manifest, with the
+  reason under ``failed``, are still written.
+- 3: a fit did not converge; its results and the manifest are still written.
 """
 
 from __future__ import annotations
@@ -17,7 +26,10 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from .diagnostics import (
     fraction_below,
@@ -28,9 +40,9 @@ from .diagnostics import (
     write_myriad_csv,
     write_quantiles_csv,
 )
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError
 from .fit import TOLERANCE, FitConfig, fit
-from .ingest import PASSTHROUGH_POLICY, FilterPolicy, Sex, parse_csv, write_normalized_csv
+from .ingest import PASSTHROUGH_POLICY, FilterPolicy, Sex, parse_csv, round_kg, write_normalized_csv
 from .kde import BandwidthMode, fit_kde
 from .models import parse_family, to_table_record
 from .resample import DEFAULT_WEIGHT_FLOOR, ResamplePlan, flatten_resample
@@ -40,6 +52,7 @@ from .scoring import (
     default_registry,
     drop_unscorable,
     is_scored_csv,
+    read_json,
     read_scored_csv,
     score_dataset,
     write_scored_csv,
@@ -67,16 +80,6 @@ def _json_dump(payload, path) -> None:
         fh.write("\n")
 
 
-def _write_manifest(args: argparse.Namespace, out_dir: Path, extra: dict) -> None:
-    manifest = {
-        "command": args.command,
-        "input": str(args.input),
-        "output_dir": str(args.output_dir),
-        **extra,
-    }
-    _json_dump(manifest, out_dir / f"{args.command}_manifest.json")
-
-
 def _requested_sexes(tag: str) -> list[Sex]:
     if tag == "both":
         return list(_SEX_ORDER)
@@ -95,14 +98,7 @@ def _policy_payload(policy: FilterPolicy) -> dict:
     }
 
 
-def _ensure_out_dir(args: argparse.Namespace) -> Path:
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
-def cmd_ingest(args: argparse.Namespace) -> int:
-    out_dir = _ensure_out_dir(args)
+def cmd_ingest(args: argparse.Namespace, out_dir: Path) -> tuple[int, dict]:
     policy = FilterPolicy(sex=None if args.sex == "both" else Sex(args.sex))
     entries, stats = parse_csv(args.input, policy)
     write_normalized_csv(entries, out_dir / "normalized.csv")
@@ -114,38 +110,46 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         },
         out_dir / "ingest_stats.json",
     )
-    _write_manifest(args, out_dir, {"policy": _policy_payload(policy)})
     dropped = stats.total_rows - stats.kept
     print(f"kept {stats.kept} of {stats.total_rows} rows ({dropped} dropped)")
     for reason in sorted(stats.dropped_by_reason):
         print(f"  dropped[{reason}] = {stats.dropped_by_reason[reason]}")
-    return EXIT_OK
+    return EXIT_OK, {"policy": _policy_payload(policy)}
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    out_dir = _ensure_out_dir(args)
+def cmd_fit(args: argparse.Namespace, out_dir: Path) -> tuple[int, dict]:
     family = parse_family(args.family)
     bandwidth_mode = BandwidthMode(args.bandwidth)
     policy = FilterPolicy()
     entries, _ = parse_csv(args.input, policy)
     config = FitConfig(family=family, max_iterations=args.max_iterations)
-    dataset = "resampled" if args.resample else "original"
+    # checked once, before any sex: a bad --resample or --jitter fails them all
+    plan = ResamplePlan(k=args.resample, jitter_std_kg=args.jitter) if args.resample else None
+    dataset = "resampled" if plan else "original"
 
     plans: dict[str, dict] = {}
+    failed: dict[str, str] = {}
     any_diverged = False
     for sex in _requested_sexes(args.sex):
         subset = [e for e in entries if e.sex is sex]
         label = sex.value
-        if args.resample:
-            kde = fit_kde([e.bodyweight_kg for e in subset], mode=bandwidth_mode)
-            plan = ResamplePlan(
-                k=args.resample,
-                seed=derive_seed(args.seed, f"resample:{label}"),
-                jitter_std_kg=args.jitter,
-            )
-            subset, resolved = flatten_resample(subset, kde, plan)
+        try:
+            if plan:
+                kde = fit_kde([e.bodyweight_kg for e in subset], mode=bandwidth_mode)
+                drawn, resolved = flatten_resample(
+                    subset, kde, replace(plan, seed=derive_seed(args.seed, f"resample:{label}"))
+                )
+                # fit the bodyweights that the written file holds, rounded as ingest rounds them
+                bodyweights = round_kg(np.array([e.bodyweight_kg for e in drawn])).tolist()
+                subset = [e._replace(bodyweight_kg=bw) for e, bw in zip(drawn, bodyweights)]
+            result = fit([e.bodyweight_kg for e in subset], [e.total_kg for e in subset], config)
+        except ValueError as exc:
+            print(f"error: fit {family.value} {label}: {exc}", file=sys.stderr)
+            failed[label] = str(exc)
+            continue
+        if plan:
             write_normalized_csv(subset, out_dir / f"resampled_{label}.csv")
-            plan_payload = {
+            plans[label] = {
                 "k": resolved.k,
                 "seed": resolved.seed,
                 "jitter_std_kg": resolved.jitter_std_kg,
@@ -153,14 +157,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 "bandwidth_kg": kde.bandwidth,
                 "bandwidth_mode": bandwidth_mode.value,
             }
-            _json_dump(plan_payload, out_dir / f"resample_plan_{label}.json")
-            plans[label] = plan_payload
-
-        result = fit(
-            [e.bodyweight_kg for e in subset],
-            [e.total_kg for e in subset],
-            config,
-        )
+            _json_dump(plans[label], out_dir / f"resample_plan_{label}.json")
         table = to_table_record(result.params, label, dataset, sig_figs=4)
         _json_dump(table, out_dir / f"fit_{family.value}_{label}_table.json")
         record = {"sex": label, "dataset": dataset, **result.to_record()}
@@ -181,23 +178,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
         if not result.converged:
             any_diverged = True
 
-    _write_manifest(
-        args,
-        out_dir,
-        {
-            "policy": _policy_payload(policy),
-            "family": family.value,
-            "sex": args.sex,
-            "bandwidth_mode": bandwidth_mode.value,
-            "resample_plans": plans or None,
-            "fit_config": {
-                "max_iterations": config.max_iterations,
-                "tolerance": TOLERANCE,
-            },
-            "seed": args.seed,
-        },
-    )
-    return EXIT_NO_CONVERGENCE if any_diverged else EXIT_OK
+    code = EXIT_CONFIG if failed else EXIT_NO_CONVERGENCE if any_diverged else EXIT_OK
+    return code, {
+        **({"failed": failed} if failed else {}),
+        "policy": _policy_payload(policy),
+        "family": family.value,
+        "sex": args.sex,
+        "bandwidth_mode": bandwidth_mode.value,
+        "resample_plans": plans or None,
+        "fit_config": {"max_iterations": config.max_iterations, "tolerance": TOLERANCE},
+        "seed": args.seed,
+    }
 
 
 def _load_registry(args: argparse.Namespace) -> ScoreRegistry:
@@ -206,14 +197,12 @@ def _load_registry(args: argparse.Namespace) -> ScoreRegistry:
     if args.system == "model":
         if not args.params:
             raise ConfigError("--params FILE is required for --system model")
-        with open(args.params, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = read_json(args.params)
         registry.add_fit_records(payload if isinstance(payload, list) else [payload])
     return registry
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    out_dir = _ensure_out_dir(args)
+def cmd_score(args: argparse.Namespace, out_dir: Path) -> tuple[int, dict]:
     registry = _load_registry(args)
     entries, _ = parse_csv(args.input, PASSTHROUGH_POLICY)
     scorable, dropped_by_reason = drop_unscorable(entries, args.system, registry)
@@ -223,24 +212,18 @@ def cmd_score(args: argparse.Namespace) -> int:
         {"rows_in": len(entries), "scored": len(scored), "dropped_by_reason": dropped_by_reason},
         out_dir / "score_stats.json",
     )
-    _write_manifest(
-        args,
-        out_dir,
-        {
-            "system": args.system,
-            "params": str(args.params) if args.params else None,
-            "config": os.environ.get(CONFIG_ENV_VAR),
-        },
-    )
     dropped = len(entries) - len(scored)
     print(f"scored {len(scored)} of {len(entries)} entries with system={args.system} ({dropped} dropped)")
     for reason in sorted(dropped_by_reason):
         print(f"  dropped[{reason}] = {dropped_by_reason[reason]}")
-    return EXIT_OK
+    return EXIT_OK, {
+        "system": args.system,
+        "params": str(args.params) if args.params else None,
+        "config": os.environ.get(CONFIG_ENV_VAR),
+    }
 
 
-def cmd_diagnose(args: argparse.Namespace) -> int:
-    out_dir = _ensure_out_dir(args)
+def cmd_diagnose(args: argparse.Namespace, out_dir: Path) -> tuple[int, dict]:
     # a scored file is read strictly; a normalized one leniently, without scores
     has_scores = is_scored_csv(args.input)
     if has_scores:
@@ -259,19 +242,17 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         if args.myriad:
             bins = myriad_averages(bodyweights, [e.total_kg for e, _ in pairs])
             write_myriad_csv(bins, out_dir / f"myriad_{label}.csv")
-        if has_scores and args.window:
+        if has_scores:
             scores = [s for _, s in pairs]
-            if len(scores) >= args.window:
+            if args.window and len(scores) >= args.window:
                 rq = rolling_quantiles(bodyweights, scores, window=args.window)
                 write_quantiles_csv(rq, out_dir / f"quantiles_{label}.csv")
-            else:
+            elif args.window:
                 print(
                     f"warning: {label}: {len(scores)} rows < window {args.window}, "
                     "skipping rolling quantiles",
                     file=sys.stderr,
                 )
-        if has_scores:
-            scores = [s for _, s in pairs]
             try:
                 dist = score_distribution(scores)
             except ValueError as exc:
@@ -285,16 +266,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             )
 
     _json_dump(summary, out_dir / "diagnostics_summary.json")
-    _write_manifest(
-        args,
-        out_dir,
-        {
-            "myriad": bool(args.myriad),
-            "window": args.window,
-            "below": list(args.below or []),
-        },
-    )
-    return EXIT_OK
+    return EXIT_OK, {"myriad": bool(args.myriad), "window": args.window, "below": list(args.below or [])}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,17 +313,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out_dir = Path(args.output_dir)
     try:
-        return args.func(args)
-    except (SchemaError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        out_dir.mkdir(parents=True, exist_ok=True)
+        code, settings = args.func(args, out_dir)
+        manifest = {"command": args.command, "input": str(args.input), "output_dir": str(args.output_dir)}
+        _json_dump({**manifest, **settings}, out_dir / f"{args.command}_manifest.json")
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except ValueError as exc:  # SchemaError and ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return code
 
 
 if __name__ == "__main__":

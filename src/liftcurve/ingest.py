@@ -124,6 +124,21 @@ def _float_or_nan(cell: str) -> float:
         return math.nan
 
 
+def round_kg(x: np.ndarray) -> np.ndarray:
+    """Round the float64 array ``x`` in place to 2 decimals, as Python's
+    correctly rounded ``round(value, 2)`` does, and return it.
+
+    This is the value ingest reads back from a ``%.2f`` kg cell written from ``x``.
+    """
+    # np.round leaves a value unchanged only where it already is the nearest
+    # double to a 2-decimal number, which Python's correctly rounded round()
+    # leaves unchanged too; the other values go through round()
+    with np.errstate(over="ignore", invalid="ignore"):
+        inexact = np.flatnonzero(np.round(x, 2) != x)
+    x[inexact] = [round(value, 2) for value in x[inexact].tolist()]
+    return x
+
+
 def _kg_column(cells) -> np.ndarray:
     """Positive kg values rounded to 2 decimals, NaN where missing or invalid.
 
@@ -134,12 +149,7 @@ def _kg_column(cells) -> np.ndarray:
         x = np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
         x = np.fromiter(map(_float_or_nan, cells), float, len(cells))
-    # np.round leaves a value unchanged only where it already is the nearest
-    # double to a 2-decimal number, which Python's correctly rounded round()
-    # leaves unchanged too; the other values go through round()
-    with np.errstate(over="ignore", invalid="ignore"):
-        inexact = np.flatnonzero(np.round(x, 2) != x)
-    x[inexact] = [round(value, 2) for value in x[inexact].tolist()]
+    round_kg(x)
     return np.where(np.isfinite(x) & (x > 0), x, np.nan)
 
 

@@ -23,6 +23,8 @@ from .kde import KdeModel, density_batch
 
 # Caps at 1 / DEFAULT_WEIGHT_FLOOR the weight of outliers of effectively zero density.
 DEFAULT_WEIGHT_FLOOR = 1e-8
+# The smallest jittered bodyweight kept: below it, 2-decimal rounding gives 0.00 kg.
+MIN_JITTERED_KG = 0.005
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,8 @@ def resample(entries, weights, plan: ResamplePlan) -> list[LifterEntry]:
     """Draw ``plan.k`` entries with replacement, probability proportional to weight.
 
     With positive jitter each drawn bodyweight is perturbed by independent
-    Gaussian noise; a perturbation landing at or below zero is redrawn.
+    Gaussian noise; a perturbation landing below 0.005 kg, which would be
+    written as ``0.00`` kg or less, is redrawn.
     Identical inputs give bit-identical output.
     """
     entries = list(entries)
@@ -94,10 +97,10 @@ def resample(entries, weights, plan: ResamplePlan) -> list[LifterEntry]:
 
     base = np.asarray([entries[i].bodyweight_kg for i in idx], dtype=float)
     jittered = base + rng.normal(0.0, plan.jitter_std_kg, plan.k)
-    bad = jittered <= 0
+    bad = jittered < MIN_JITTERED_KG
     while bad.any():
         jittered[bad] = base[bad] + rng.normal(0.0, plan.jitter_std_kg, int(bad.sum()))
-        bad = jittered <= 0
+        bad = jittered < MIN_JITTERED_KG
     return [entries[i]._replace(bodyweight_kg=bw) for i, bw in zip(idx.tolist(), jittered.tolist())]
 
 

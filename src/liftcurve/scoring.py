@@ -123,6 +123,15 @@ def model_score(x: float, y: float, params: GrowthParams) -> float:
     return _score_row("model", params, x, y)
 
 
+def read_json(path):
+    """The JSON value in the file at ``path``; a ``ConfigError`` naming the file if it is not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+
+
 def _require_object(record) -> None:
     if not isinstance(record, dict):
         raise ConfigError(f"coefficient record {record!r} is not a JSON object")
@@ -149,11 +158,7 @@ class ScoreRegistry:
     def from_config(cls, path) -> "ScoreRegistry":
         """Load a registry from a JSON config (a list of records, or
         ``{"records": [...]}``)."""
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        payload = read_json(path)
         if isinstance(payload, dict):
             payload = payload.get("records")
         if not isinstance(payload, list):

@@ -42,6 +42,14 @@ def write_entries_csv(path, n_per_sex=600, seed=51):
     return entries
 
 
+def write_sex_counts_csv(path, n_female, n_male):
+    """The first ``n_female`` women and ``n_male`` men of :func:`write_entries_csv`'s sample."""
+    entries = write_entries_csv(path, n_per_sex=max(n_female, n_male))
+    females = [e for e in entries if e.sex is Sex.FEMALE][:n_female]
+    males = [e for e in entries if e.sex is Sex.MALE][:n_male]
+    write_normalized_csv(males + females, path)
+
+
 def read_tree(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()}
 
@@ -182,6 +190,7 @@ class TestFitCommand:
         manifest = json.loads((out / "fit_manifest.json").read_text())
         assert manifest["policy"] == MANIFEST_POLICY
         assert manifest["fit_config"] == {"max_iterations": 150, "tolerance": 1e-10}
+        assert "failed" not in manifest
 
     def test_seed_changes_resample_output(self, tmp_path):
         src = tmp_path / "data.csv"
@@ -205,6 +214,95 @@ class TestFitCommand:
         assert code == 3
         internal = json.loads((out / "fit_logistic_M.json").read_text())
         assert internal["converged"] is False
+
+    def test_bad_resample_count_exits_2_before_writing(self, tmp_path, capsys):
+        src = tmp_path / "data.csv"
+        write_entries_csv(src)
+        out = tmp_path / "out"
+        code = main(["fit", "--input", str(src), "--output-dir", str(out), "--family", "vb", "--resample", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: target sample count must be >= 1, got -1\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "n_female, n_male, thin, extra, reason",
+        [
+            (5, 200, "F", [], "insufficient data: need at least 10 points, got 5"),
+            (200, 5, "M", [], "insufficient data: need at least 10 points, got 5"),
+            (1, 200, "F", ["--resample", "500"], "KDE fit needs at least 2 points, got 1"),
+        ],
+    )
+    def test_thin_sex_fails_alone(self, tmp_path, capsys, n_female, n_male, thin, extra, reason):
+        src = tmp_path / "data.csv"
+        write_sex_counts_csv(src, n_female, n_male)
+        out, alone = tmp_path / "out", tmp_path / "alone"
+        base = ["fit", "--input", str(src), "--family", "logistic", *extra]
+        assert main(base + ["--output-dir", str(out)]) == 2
+        assert f"error: fit logistic {thin}: {reason}\n" in capsys.readouterr().err
+        manifest = json.loads((out / "fit_manifest.json").read_text())
+        assert manifest["failed"] == {thin: reason}
+        # the other sex's files are those of a run on that sex alone
+        fitted = "M" if thin == "F" else "F"
+        assert main(base + ["--output-dir", str(alone), "--sex", fitted]) == 0
+        written = read_tree(out)
+        assert written.pop("fit_manifest.json")
+        assert written == {name: data for name, data in read_tree(alone).items() if name != "fit_manifest.json"}
+        assert list(manifest["resample_plans"] or {}) == (["M"] if extra else [])
+
+    def test_requested_sex_without_rows_exits_2_with_a_manifest(self, tmp_path, capsys):
+        src = tmp_path / "data.csv"
+        write_sex_counts_csv(src, 0, 200)
+        out = tmp_path / "out"
+        assert main(["fit", "--input", str(src), "--output-dir", str(out), "--family", "vb", "--sex", "F"]) == 2
+        reason = "insufficient data: need at least 10 points, got 0"
+        assert capsys.readouterr().err == f"error: fit von_bertalanffy F: {reason}\n"
+        assert [p.name for p in out.iterdir()] == ["fit_manifest.json"]
+        manifest = json.loads((out / "fit_manifest.json").read_text())
+        assert manifest["failed"] == {"F": reason}
+        assert manifest["sex"] == "F"
+
+    def test_fixture_is_too_thin_for_either_sex(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(FIXTURE), "--output-dir", str(out)]) == 0
+        assert main(["fit", "--input", str(out / "normalized.csv"), "--output-dir", str(out), "--family", "vb"]) == 2
+        assert capsys.readouterr().err == (
+            "error: fit von_bertalanffy F: insufficient data: need at least 10 points, got 5\n"
+            "error: fit von_bertalanffy M: insufficient data: need at least 10 points, got 7\n"
+        )
+        assert not list(out.glob("fit_von_bertalanffy_*"))
+        assert json.loads((out / "fit_manifest.json").read_text())["failed"] == {
+            "F": "insufficient data: need at least 10 points, got 5",
+            "M": "insufficient data: need at least 10 points, got 7",
+        }
+
+    def test_failed_sex_outranks_nonconvergence(self, tmp_path):
+        src = tmp_path / "data.csv"
+        write_sex_counts_csv(src, 5, 200)
+        out = tmp_path / "out"
+        argv = ["fit", "--input", str(src), "--output-dir", str(out), "--family", "logistic", "--max-iterations", "1"]
+        assert main(argv) == 2
+        assert json.loads((out / "fit_logistic_M.json").read_text())["converged"] is False
+
+    @pytest.mark.parametrize("family, name", [("vb", "von_bertalanffy"), ("logistic", "logistic")])
+    def test_refit_of_resampled_file_reproduces_the_fit(self, tmp_path, family, name):
+        src = tmp_path / "data.csv"
+        write_entries_csv(src)
+        out = tmp_path / "out"
+        argv = ["fit", "--input", str(src), "--output-dir", str(out), "--family", family]
+        assert main(argv + ["--resample", "3000", "--seed", "7"]) == 0
+        for sex in ("F", "M"):
+            refit = tmp_path / f"refit_{sex}"
+            assert main(
+                [
+                    "fit", "--input", str(out / f"resampled_{sex}.csv"), "--output-dir", str(refit),
+                    "--family", family, "--sex", sex,
+                ]
+            ) == 0
+            for suffix in ("", "_table"):
+                reported = json.loads((out / f"fit_{name}_{sex}{suffix}.json").read_text())
+                refitted = json.loads((refit / f"fit_{name}_{sex}{suffix}.json").read_text())
+                assert (reported.pop("dataset"), refitted.pop("dataset")) == ("resampled", "original")
+                assert refitted == reported
 
 
 class TestScoreCommand:
@@ -284,6 +382,23 @@ class TestScoreCommand:
             ["score", "--input", str(src), "--output-dir", str(tmp_path / "o"), "--system", "model"]
         )
         assert code == 2
+
+    def test_malformed_params_file_exits_2_naming_it(self, tmp_path, capsys):
+        src = tmp_path / "data.csv"
+        write_normalized_csv([make_entry(93.0, 700.0)], src)
+        params = tmp_path / "p.json"
+        params.write_text("{")
+        code = main(
+            [
+                "score", "--input", str(src), "--output-dir", str(tmp_path / "o"),
+                "--system", "model", "--params", str(params),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {params}: invalid JSON: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+        )
 
     def test_env_config_override(self, tmp_path, monkeypatch):
         config = tmp_path / "flat.json"
@@ -452,6 +567,34 @@ class TestDiagnoseCommand:
         assert code == 0
         assert not (out / "quantiles_M.csv").exists()
         assert "skipping rolling quantiles" in capsys.readouterr().err
+
+    def test_one_row_sex_skips_its_distribution_only(self, tmp_path, capsys):
+        src = tmp_path / "data.csv"
+        males = [make_entry(60.0 + i / 10, 500.0 + i, sex=Sex.MALE) for i in range(150)]
+        write_normalized_csv(males + [make_entry(55.0, 300.0, sex=Sex.FEMALE)], src)
+        scored_dir = tmp_path / "scored"
+        assert main(
+            ["score", "--input", str(src), "--output-dir", str(scored_dir), "--system", "ipf_gl"]
+        ) == 0
+        out = tmp_path / "diag"
+        capsys.readouterr()
+        code = main(
+            [
+                "diagnose", "--input", str(scored_dir / "scored.csv"), "--output-dir", str(out),
+                "--myriad", "--window", "100", "--below", "60",
+            ]
+        )
+        assert code == 0
+        assert "warning: F: score distribution needs at least 2 scores, got 1, skipping distribution" in (
+            capsys.readouterr().err
+        )
+        assert sorted(p.name for p in out.iterdir()) == [
+            "diagnose_manifest.json", "diagnostics_summary.json", "distribution_M.csv",
+            "myriad_F.csv", "myriad_M.csv", "quantiles_M.csv",
+        ]
+        summary = json.loads((out / "diagnostics_summary.json").read_text())
+        assert list(summary["skewness"]) == ["M"]
+        assert summary["fraction_below"] == {"60": {"F": 1.0, "M": 0.0}}
 
     def test_malformed_scored_row_exits_2_naming_its_line(self, tmp_path, capsys):
         src = tmp_path / "data.csv"

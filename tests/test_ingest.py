@@ -4,6 +4,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from liftcurve.ingest import (
     LifterEntry,
     Sex,
     parse_csv,
+    round_kg,
     write_normalized_csv,
 )
 
@@ -156,6 +158,13 @@ class TestRoundTrip:
         entries, _ = parse_csv(src)
         assert entries[0].bodyweight_kg == 93.46
         assert entries[0].total_kg == 700.0
+
+    def test_round_kg_is_pythons_round(self):
+        values = [0.125, 0.135, 2.675, 93.456789, 0.004, 0.005, -1.005, 1e300, 5e-324]
+        x = np.array(values + [np.nan, np.inf])
+        assert round_kg(x) is x
+        assert x[:-2].tolist() == [round(v, 2) for v in values]
+        assert np.isnan(x[-2]) and x[-1] == np.inf
 
 
 # Rows start consistent (total = sum of lifts within a little more than the

@@ -118,6 +118,14 @@ class TestResample:
         out = resample(entries, [1.0], plan)
         assert all(e.bodyweight_kg > 0 for e in out)
 
+    def test_jitter_redraws_what_would_be_written_as_zero(self):
+        # a 0.02 kg bodyweight with 0.01 kg jitter puts about 4 % of first draws in (0, 0.005) kg
+        entries = [make_entry(0.02, 100.0)]
+        out = resample(entries, [1.0], ResamplePlan(k=2000, seed=5, jitter_std_kg=0.01))
+        bodyweights = [e.bodyweight_kg for e in out]
+        assert min(bodyweights) >= 0.005
+        assert "0.00" not in {f"{bw:.2f}" for bw in bodyweights}
+
     def test_validation_errors(self):
         entries = uniform_entries(10, seed=2)
         with pytest.raises(ValueError):
