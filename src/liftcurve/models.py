@@ -22,7 +22,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 
 class ModelFamily(enum.Enum):
@@ -82,6 +81,14 @@ class GrowthParams:
             raise ValueError(f"k must be positive, got {self.k}")
 
 
+def _expit(u):
+    # scipy.special is imported on first use: it takes longer to import than the rest
+    # of the package. 1 / (1 + np.exp(-u)) would differ from it in the last bit.
+    from scipy.special import expit
+
+    return expit(u)
+
+
 def _validated_x(x) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -106,7 +113,7 @@ def evaluate(params: GrowthParams, x):
     else:
         # sigma(k*(0 - x0)) and the offset are the same expression, so
         # f(0) == 0 holds bit-exactly.
-        out = params.L * (expit(u) - expit(-params.k * params.x0))
+        out = params.L * (_expit(u) - _expit(-params.k * params.x0))
     return _finish(out, scalar)
 
 
@@ -122,7 +129,7 @@ def first_derivative(params: GrowthParams, x):
     if params.family is ModelFamily.VON_BERTALANFFY:
         out = params.L * params.k * np.exp(-u)
     else:
-        out = params.L * params.k * expit(u) * expit(-u)
+        out = params.L * params.k * _expit(u) * _expit(-u)
     return _finish(out, scalar)
 
 
@@ -137,8 +144,8 @@ def second_derivative(params: GrowthParams, x):
     if params.family is ModelFamily.VON_BERTALANFFY:
         out = -params.L * params.k**2 * np.exp(-u)
     else:
-        s = expit(u)
-        s_c = expit(-u)
+        s = _expit(u)
+        s_c = _expit(-u)
         out = params.L * params.k**2 * s * s_c * (s_c - s)
     return _finish(out, scalar)
 
@@ -154,7 +161,7 @@ def asymptote(params: GrowthParams) -> float:
     """Supremum of the curve as bodyweight grows without bound (kg)."""
     if params.family is ModelFamily.VON_BERTALANFFY:
         return params.L
-    return float(params.L * expit(params.k * params.x0))
+    return float(params.L * _expit(params.k * params.x0))
 
 
 def param_gradient(params: GrowthParams, x) -> np.ndarray:
@@ -172,10 +179,10 @@ def param_gradient(params: GrowthParams, x) -> np.ndarray:
         d_k = params.L * (arr - params.x0) * e
         d_x0 = -params.L * params.k * e
     else:
-        s = expit(u)
-        s_c = expit(-u)
-        c = expit(-params.k * params.x0)
-        c_c = expit(params.k * params.x0)
+        s = _expit(u)
+        s_c = _expit(-u)
+        c = _expit(-params.k * params.x0)
+        c_c = _expit(params.k * params.x0)
         d_L = s - c
         d_k = params.L * ((arr - params.x0) * s * s_c + params.x0 * c * c_c)
         d_x0 = params.L * params.k * (c * c_c - s * s_c)

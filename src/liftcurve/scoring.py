@@ -248,14 +248,8 @@ def _columns_by_sex(entries: list[LifterEntry]) -> list[tuple[Sex, np.ndarray, n
     return groups
 
 
-# Why the kernel flags a row, most binding first. drop_unscorable drops rows
-# for the first _DROPPED reasons; a non-positive total always raises.
-_REASONS = ("bodyweight_out_of_domain", "non_positive_denominator", "non_positive_total")
-_DROPPED = 2
-
-
-def _positive_finite(y):
-    return np.isfinite(y) & (y > 0)
+# Why the kernel flags a row, in the order the per-row scorers check.
+_REASONS = ("bodyweight_out_of_domain", "non_positive_total", "non_positive_denominator")
 
 
 def _score_arrays(system: str, coeffs, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,9 +283,9 @@ def _score_arrays(system: str, coeffs, x: np.ndarray, y: np.ndarray) -> tuple[np
     # only flagged rows can divide badly
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = scale * (y / den) if system == "model" else scale * y / den
-    # the most binding reason is assigned last
-    reason = np.where(_positive_finite(y), -1, 2)
-    reason[den <= 0] = 1
+    # the first reason checked is assigned last
+    reason = np.where(den <= 0, 2, -1)
+    reason[~(np.isfinite(y) & (y > 0))] = 1
     reason[~in_domain] = 0
     return scores, reason
 
@@ -299,16 +293,14 @@ def _score_arrays(system: str, coeffs, x: np.ndarray, y: np.ndarray) -> tuple[np
 def _unscorable(system: str, x, y, reason: int) -> Exception:
     """The error for a row of bodyweight ``x`` and total ``y`` flagged with ``reason``.
 
-    Checks the bodyweight, then the total, then the denominator, so a bad
-    total outranks a non-positive denominator here though not when rows are
-    dropped. The message shows the caller's own ``x`` and ``y``.
+    The message shows the caller's own ``x`` and ``y``.
     """
     if reason == 0:
         if system == "model":
             return ValueError(f"bodyweight must be positive and finite, got {x!r}")
         lo, hi = WILKS_DOMAIN_KG
         return ValueError(f"bodyweight {x!r} outside validated scoring domain [{lo}, {hi}] kg")
-    if not _positive_finite(y):
+    if reason == 1:
         return ValueError(f"total must be positive and finite, got {y!r}")
     if system == "model":
         return ValueError(f"model expectation non-positive at x={x} kg; cannot score")
@@ -340,16 +332,15 @@ def _score_by_sex(entries: list[LifterEntry], system: str, registry: ScoreRegist
 def drop_unscorable(entries, system: str, registry: ScoreRegistry) -> tuple[list[LifterEntry], dict[str, int]]:
     """The entries ``system`` can score, in order, and the others counted by reason.
 
-    Wilks and GL raise outside the validated bodyweight domain, and a Wilks
-    polynomial can reach zero inside it (women's, above ~208 kg). Model
-    scores drop nothing. Rows are flagged by the kernel :func:`score_dataset`
-    uses; a row whose only fault is its total is kept, so that it raises.
+    Drops exactly the rows the per-row scorer rejects, each counted under
+    the reason its error names: ``bodyweight_out_of_domain`` (outside Wilks
+    and GL's validated range, or not positive for a model),
+    ``non_positive_total``, or ``non_positive_denominator`` (a women's Wilks
+    polynomial above ~208 kg, or a model curve at or below its zero).
     """
     entries = list(entries)
-    if system == "model":
-        return entries, {}
     reason = _score_by_sex(entries, system, registry)[1]
-    drop = (0 <= reason) & (reason < _DROPPED)
+    drop = reason >= 0
     kept = [entry for entry, dropped in zip(entries, drop.tolist()) if not dropped]
     names = [_REASONS[code] for code in reason[drop].tolist()]
     # reasons in order of first occurrence

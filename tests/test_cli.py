@@ -375,6 +375,21 @@ class TestScoreCommand:
         assert [e.bodyweight_kg for e, _ in read_scored_csv(out / "scored.csv")] == kept
         assert f"({5 - len(kept)} dropped)" in capsys.readouterr().out
 
+    def test_model_rows_at_or_below_the_curve_zero_are_dropped_and_counted(self, tmp_path, capsys):
+        src = tmp_path / "data.csv"
+        write_normalized_csv([make_entry(bw, 500.0, sex=Sex.MALE) for bw in (35.0, 74.0, 93.0)], src)
+        params = tmp_path / "params.json"
+        params.write_text(
+            json.dumps({"family": "von_bertalanffy", "sex": "M", "L": 739.79, "k": 0.0335, "x0": 36.66})
+        )
+        out = tmp_path / "out"
+        args = ["score", "--input", str(src), "--output-dir", str(out), "--system", "model", "--params", str(params)]
+        assert main(args) == 0
+        assert "scored 2 of 3" in capsys.readouterr().out
+        stats = json.loads((out / "score_stats.json").read_text())
+        assert stats["dropped_by_reason"] == {"non_positive_denominator": 1}
+        assert [e.bodyweight_kg for e, _ in read_scored_csv(out / "scored.csv")] == [74.0, 93.0]
+
     def test_model_without_params_exits_2(self, tmp_path):
         src = tmp_path / "data.csv"
         write_normalized_csv([make_entry(93.0, 700.0)], src)

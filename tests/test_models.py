@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,3 +263,16 @@ class TestTableRecords:
         assert parse_family("logistic") is ModelFamily.LOGISTIC
         with pytest.raises(ValueError):
             parse_family("quadratic")
+
+
+def test_package_import_and_default_registry_load_no_scipy():
+    # scipy.special and scipy.optimize are imported on first use; a fresh
+    # interpreter shows what `import liftcurve` alone pulls in
+    code = (
+        "import sys, liftcurve; liftcurve.default_registry(); "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

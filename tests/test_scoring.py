@@ -323,23 +323,16 @@ class TestScoreDataset:
         for system in SYSTEMS:
             errors = [raised_by(row_reference.score_entry, e, system, registry) for e in entries]
             kept, counts = drop_unscorable(entries, system, registry)
-            if system == "model":
-                assert kept == entries and counts == {}
-            else:
-                assert kept == [e for e, error in zip(entries, errors) if error is None]
-                reasons = [
-                    "bodyweight_out_of_domain" if "domain" in str(error) else "non_positive_denominator"
-                    for error in errors
-                    if error is not None
-                ]
-                assert list(counts.items()) == list(Counter(reasons).items())
-                # women's Wilks polynomials are negative above ~208 kg; GL's denominator is positive
-                assert len(counts) == (1 if system == "ipf_gl" else 2)
-            scorable = [e for e, error in zip(entries, errors) if error is None]
-            scored = score_dataset(scorable, system, registry)
-            assert [e for e, _ in scored] == scorable
+            assert kept == [e for e, error in zip(entries, errors) if error is None]
+            reasons = [reason_named_by(error) for error in errors if error is not None]
+            assert list(counts.items()) == list(Counter(reasons).items())
+            # women's Wilks polynomials are negative above ~208 kg; GL's denominator is positive;
+            # the female model is zero at 40 kg and the male one positive for every x > 0
+            assert len(counts) == (2 if system in ("wilks", "wilks2") else 1)
+            scored = score_dataset(kept, system, registry)
+            assert [e for e, _ in scored] == kept
             assert repr([score for _, score in scored]) == repr(
-                [row_reference.score_entry(e, system, registry) for e in scorable]
+                [row_reference.score_entry(e, system, registry) for e in kept]
             )
 
     @pytest.mark.parametrize("first", list(Sex), ids=lambda sex: sex.value)
@@ -367,6 +360,16 @@ def raised_by(fn, *args) -> BaseException | None:
     except (ValueError, ConfigError) as exc:
         return exc
     return None
+
+
+def reason_named_by(error: BaseException) -> str:
+    """The drop reason that an error of the per-row reference names."""
+    message = str(error)
+    if message.startswith("bodyweight"):
+        return "bodyweight_out_of_domain"
+    if message.startswith("total"):
+        return "non_positive_total"
+    return "non_positive_denominator"
 
 
 def first_error(entries, system, registry) -> BaseException | None:
@@ -413,12 +416,9 @@ class TestVectorisedScoring:
         registry = model_registry()
         for system in SYSTEMS:
             kept, _ = drop_unscorable(entries, system, registry)
-            scorable = [e for e in kept if raised_by(row_reference.score_entry, e, system, registry) is None]
-            scored = score_dataset(scorable, system, registry)
-            assert [e for e, _ in scored] == scorable
-            assert [score for _, score in scored] == [
-                row_reference.score_entry(e, system, registry) for e in scorable
-            ]
+            scored = score_dataset(kept, system, registry)
+            assert [e for e, _ in scored] == kept
+            assert [score for _, score in scored] == [row_reference.score_entry(e, system, registry) for e in kept]
 
     @pytest.mark.parametrize("x, y", [("93", 700.0), (b"93", 700.0), (None, 700.0), (93.0, "700"), (93.0, None)])
     def test_per_row_scorers_reject_non_numbers(self, x, y):
@@ -434,17 +434,27 @@ class TestVectorisedScoring:
             with pytest.raises(TypeError, match=re.escape(str(want.value))):
                 scorer(x, y, coeffs)
 
-    @settings(max_examples=60, deadline=None)
-    @given(entry_rows)
-    def test_wilks_and_gl_drop_exactly_the_rows_score_entry_rejects(self, entries):
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                # below and at the female model's 40 kg zero, both Wilks domain edges, NaN
+                st.floats(-10.0, 260.0) | st.sampled_from([0.0, 30.0, 39.99, 40.0, 208.5, 250.0, math.nan]),
+                st.floats(1.0, 1500.0) | st.sampled_from([0.0, -5.0, math.nan, math.inf]),
+                st.sampled_from(Sex),
+            ),
+            max_size=40,
+        )
+    )
+    def test_drop_unscorable_drops_exactly_the_rows_score_entry_rejects(self, rows):
         registry = model_registry()
-        for system in ("wilks", "wilks2", "ipf_gl"):
-            kept, dropped = drop_unscorable(entries, system, registry)
-            rejected = [
-                e for e in entries if raised_by(row_reference.score_entry, e, system, registry) is not None
-            ]
-            assert [e for e in entries if e not in rejected] == kept
-            assert sum(dropped.values()) == len(rejected)
+        entries = [make_entry(93.0, 700.0, sex)._replace(bodyweight_kg=x, total_kg=y) for x, y, sex in rows]
+        for system in SYSTEMS:
+            errors = [raised_by(row_reference.score_entry, e, system, registry) for e in entries]
+            kept, counts = drop_unscorable(entries, system, registry)
+            assert kept == [e for e, error in zip(entries, errors) if error is None]
+            reasons = [reason_named_by(error) for error in errors if error is not None]
+            assert list(counts.items()) == list(Counter(reasons).items())
 
     @pytest.mark.parametrize(
         "system, rows",
@@ -474,14 +484,14 @@ class TestVectorisedScoring:
         assert type(got) is type(want)
         assert str(got) == str(want)
 
-    @pytest.mark.parametrize("system, dropped", [("wilks", 1), ("wilks2", 1), ("ipf_gl", 0)])
-    def test_a_bad_total_is_dropped_with_a_non_positive_denominator(self, system, dropped):
-        # the women's Wilks polynomials are negative at 230 kg; GL's denominator is not
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_a_bad_total_is_dropped_as_a_non_positive_total(self, system):
+        # the women's Wilks polynomials are negative at 230 kg too, but the total is checked first
         entries = [make_entry(60.0, 300.0, sex=Sex.FEMALE), make_entry(230.0, -5.0, sex=Sex.FEMALE)]
         registry = model_registry()
         kept, counts = drop_unscorable(entries, system, registry)
-        assert kept == entries[: len(entries) - dropped]
-        assert counts == ({"non_positive_denominator": 1} if dropped else {})
+        assert kept == entries[:1]
+        assert counts == {"non_positive_total": 1}
         with pytest.raises(ValueError, match=re.escape("total must be positive and finite, got -5.0")):
             SCORERS[system][0](230.0, -5.0, registry.resolve(system, Sex.FEMALE))
 
