@@ -27,6 +27,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ from .diagnostics import (
 )
 from .errors import ConfigError
 from .fit import TOLERANCE, FitConfig, fit
-from .ingest import PASSTHROUGH_POLICY, FilterPolicy, Sex, parse_csv, round_kg, write_normalized_csv
+from .ingest import PASSTHROUGH_POLICY, FilterPolicy, Sex, columns_by_sex, parse_csv, round_kg, write_normalized_csv
 from .kde import BandwidthMode, fit_kde
 from .models import parse_family, to_table_record
 from .resample import DEFAULT_WEIGHT_FLOOR, ResamplePlan, flatten_resample
@@ -78,12 +79,6 @@ def _json_dump(payload, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _requested_sexes(tag: str) -> list[Sex]:
-    if tag == "both":
-        return list(_SEX_ORDER)
-    return [Sex(tag)]
 
 
 def _policy_payload(policy: FilterPolicy) -> dict:
@@ -130,25 +125,25 @@ def cmd_fit(args: argparse.Namespace, out_dir: Path) -> tuple[int, dict]:
     plans: dict[str, dict] = {}
     failed: dict[str, str] = {}
     any_diverged = False
-    for sex in _requested_sexes(args.sex):
-        subset = [e for e in entries if e.sex is sex]
+    by_sex = columns_by_sex(entries)
+    for sex in _SEX_ORDER if args.sex == "both" else (Sex(args.sex),):
+        rows, bodyweights, totals = by_sex[sex]
         label = sex.value
         try:
             if plan:
-                kde = fit_kde([e.bodyweight_kg for e in subset], mode=bandwidth_mode)
-                drawn, resolved = flatten_resample(
-                    subset, kde, replace(plan, seed=derive_seed(args.seed, f"resample:{label}"))
-                )
-                # fit the bodyweights that the written file holds, rounded as ingest rounds them
-                bodyweights = round_kg(np.array([e.bodyweight_kg for e in drawn])).tolist()
-                subset = [e._replace(bodyweight_kg=bw) for e, bw in zip(drawn, bodyweights)]
-            result = fit([e.bodyweight_kg for e in subset], [e.total_kg for e in subset], config)
+                kde = fit_kde(bodyweights, mode=bandwidth_mode)
+                seeded = replace(plan, seed=derive_seed(args.seed, f"resample:{label}"))
+                drawn, resolved = flatten_resample([entries[i] for i in rows.tolist()], kde, seeded)
+                # fit the bodyweights the written file holds: ingest reads a "%.2f" cell of x as round_kg(x)
+                _, bodyweights, totals = columns_by_sex(drawn)[sex]
+                round_kg(bodyweights)
+            result = fit(bodyweights, totals, config)
         except ValueError as exc:
             print(f"error: fit {family.value} {label}: {exc}", file=sys.stderr)
             failed[label] = str(exc)
             continue
         if plan:
-            write_normalized_csv(subset, out_dir / f"resampled_{label}.csv")
+            write_normalized_csv(drawn, out_dir / f"resampled_{label}.csv")
             plans[label] = {
                 "k": resolved.k,
                 "seed": resolved.seed,
@@ -225,25 +220,26 @@ def cmd_score(args: argparse.Namespace, out_dir: Path) -> tuple[int, dict]:
 
 def cmd_diagnose(args: argparse.Namespace, out_dir: Path) -> tuple[int, dict]:
     # a scored file is read strictly; a normalized one leniently, without scores
-    has_scores = is_scored_csv(args.input)
-    if has_scores:
+    if is_scored_csv(args.input):
         scored = read_scored_csv(args.input)
+        entries = list(map(itemgetter(0), scored))
+        all_scores = np.fromiter(map(itemgetter(1), scored), float, len(scored))
     else:
         entries, _ = parse_csv(args.input, PASSTHROUGH_POLICY)
-        scored = [(entry, None) for entry in entries]
+        all_scores = None
 
     summary: dict = {"skewness": {}, "fraction_below": {}}
+    by_sex = columns_by_sex(entries)
     for sex in _SEX_ORDER:
-        pairs = [(e, s) for e, s in scored if e.sex is sex]
-        if not pairs:
+        rows, bodyweights, totals = by_sex[sex]
+        if not rows.size:
             continue
         label = sex.value
-        bodyweights = [e.bodyweight_kg for e, _ in pairs]
         if args.myriad:
-            bins = myriad_averages(bodyweights, [e.total_kg for e, _ in pairs])
+            bins = myriad_averages(bodyweights, totals)
             write_myriad_csv(bins, out_dir / f"myriad_{label}.csv")
-        if has_scores:
-            scores = [s for _, s in pairs]
+        if all_scores is not None:
+            scores = all_scores[rows]
             if args.window and len(scores) >= args.window:
                 rq = rolling_quantiles(bodyweights, scores, window=args.window)
                 write_quantiles_csv(rq, out_dir / f"quantiles_{label}.csv")

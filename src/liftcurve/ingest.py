@@ -28,8 +28,8 @@ import enum
 import io
 import math
 from dataclasses import dataclass
-from itertools import compress, islice
-from operator import attrgetter
+from itertools import compress, islice, repeat
+from operator import attrgetter, is_
 from typing import NamedTuple
 
 import numpy as np
@@ -248,6 +248,26 @@ def parse_csv(path, policy: FilterPolicy = FilterPolicy()) -> tuple[list[LifterE
             dropped[name] = dropped.get(name, 0) + int(np.count_nonzero(reasons == code))
     stats = IngestStats(total_rows=total_rows, kept=len(entries), dropped_by_reason=dropped)
     return entries, stats
+
+
+def columns_by_sex(entries: list[LifterEntry]) -> dict[Sex, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``{sex: (rows, bodyweight_kg, total_kg)}`` for both sexes: each sex's row
+    indices into ``entries`` and the values at those rows, as arrays.
+
+    Sexes present come in order of first appearance, an absent one last with
+    empty arrays. A row whose sex is not ``Sex.FEMALE`` is male. Sex is
+    tested by identity, which is cheaper per row than hashing the enum member.
+    """
+    n = len(entries)
+    x = np.fromiter(map(attrgetter("bodyweight_kg"), entries), float, n)
+    y = np.fromiter(map(attrgetter("total_kg"), entries), float, n)
+    female = np.fromiter(map(is_, map(attrgetter("sex"), entries), repeat(Sex.FEMALE)), bool, n)
+    order = (Sex.FEMALE, Sex.MALE) if n and entries[0].sex is Sex.FEMALE else (Sex.MALE, Sex.FEMALE)
+    columns = {}
+    for sex in order:
+        rows = np.flatnonzero(female if sex is Sex.FEMALE else ~female)
+        columns[sex] = (rows, x[rows], y[rows])
+    return columns
 
 
 _KG_FIELDS = ("bodyweight_kg", "best_squat_kg", "best_bench_kg", "best_deadlift_kg", "total_kg")

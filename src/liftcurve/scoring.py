@@ -16,7 +16,8 @@ scoring guard that domain; model scores only require ``f(x) > 0``.
 
 Each rule is written once, in one array kernel that returns the scores
 and a reason code for every row it cannot score. :func:`score_dataset` and
-:func:`drop_unscorable` run it per sex; :func:`wilks_score`,
+:func:`drop_unscorable` run it per sex, on the columns that
+:func:`liftcurve.ingest.columns_by_sex` splits out; :func:`wilks_score`,
 :func:`gl_score` and :func:`model_score` run it on one row (as float64),
 so both give the same bits and raise the same errors.
 """
@@ -29,12 +30,13 @@ import math
 import operator
 from dataclasses import dataclass
 from importlib import resources
-from itertools import repeat
 
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .ingest import DROP_REASONS, PASSTHROUGH_POLICY, REQUIRED_COLUMNS, LifterEntry, Sex, normalized_lines, read_blocks
+from .ingest import (
+    DROP_REASONS, PASSTHROUGH_POLICY, REQUIRED_COLUMNS, LifterEntry, Sex, columns_by_sex, normalized_lines, read_blocks
+)
 from .models import GrowthParams, evaluate, float_fields, from_table_record, parse_family
 
 WILKS_DOMAIN_KG = (30.0, 250.0)
@@ -229,25 +231,6 @@ def default_registry() -> ScoreRegistry:
         return ScoreRegistry.from_config(config_path)
 
 
-def _columns_by_sex(entries: list[LifterEntry]) -> list[tuple[Sex, np.ndarray, np.ndarray, np.ndarray]]:
-    """``(sex, rows, bodyweights, totals)`` per sex, in order of first appearance.
-
-    A row whose sex is not ``Sex.FEMALE`` is male. Sex is tested by
-    identity, which is cheaper per row than hashing the enum member.
-    """
-    n = len(entries)
-    x = np.fromiter(map(operator.attrgetter("bodyweight_kg"), entries), float, n)
-    y = np.fromiter(map(operator.attrgetter("total_kg"), entries), float, n)
-    female = np.fromiter(map(operator.is_, map(operator.attrgetter("sex"), entries), repeat(Sex.FEMALE)), bool, n)
-    order = (Sex.FEMALE, Sex.MALE) if n and entries[0].sex is Sex.FEMALE else (Sex.MALE, Sex.FEMALE)
-    groups = []
-    for sex in order:
-        rows = np.flatnonzero(female if sex is Sex.FEMALE else ~female)
-        if rows.size:
-            groups.append((sex, rows, x[rows], y[rows]))
-    return groups
-
-
 # Why the kernel flags a row, in the order the per-row scorers check.
 _REASONS = ("bodyweight_out_of_domain", "non_positive_total", "non_positive_denominator")
 
@@ -319,13 +302,12 @@ def _score_row(system: str, coeffs, x, y) -> float:
 
 def _score_by_sex(entries: list[LifterEntry], system: str, registry: ScoreRegistry) -> tuple[np.ndarray, np.ndarray]:
     """Scores and reason codes of ``entries`` in input order, scored per sex
-    after every needed ``(system, sex)`` pair has resolved."""
-    groups = _columns_by_sex(entries)
-    coeffs = [registry.resolve(system, sex) for sex, *_ in groups]
+    present; the sex that appears first resolves its ``(system, sex)`` coefficients first."""
     scores = np.empty(len(entries))
     reason = np.full(len(entries), -1)
-    for (_, rows, x, y), group_coeffs in zip(groups, coeffs):
-        scores[rows], reason[rows] = _score_arrays(system, group_coeffs, x, y)
+    for sex, (rows, x, y) in columns_by_sex(entries).items():
+        if rows.size:
+            scores[rows], reason[rows] = _score_arrays(system, registry.resolve(system, sex), x, y)
     return scores, reason
 
 

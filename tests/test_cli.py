@@ -10,7 +10,7 @@ from liftcurve.cli import main
 from liftcurve.diagnostics import fraction_below, rolling_quantiles, write_quantiles_csv
 from liftcurve.ingest import Sex, parse_csv, write_normalized_csv
 from liftcurve.models import GrowthParams, ModelFamily, evaluate, to_table_record
-from liftcurve.scoring import default_registry, read_scored_csv, wilks_score
+from liftcurve.scoring import default_registry, read_scored_csv, wilks_score, write_scored_csv
 
 from synth import flattened_female_xy, logistic_xy, make_entry
 
@@ -640,6 +640,22 @@ class TestDiagnoseCommand:
         summary = json.loads((out / "diagnostics_summary.json").read_text())
         assert summary == {"skewness": {}, "fraction_below": {"65": {"M": 0.5}}}
         assert not (out / "quantiles_M.csv").exists()
+
+    @pytest.mark.parametrize("write", [write_scored_csv, write_normalized_csv], ids=["scored", "normalized"])
+    def test_header_only_input_writes_an_empty_summary(self, tmp_path, write):
+        src = tmp_path / "data.csv"
+        write([], src)
+        out = tmp_path / "out"
+        assert main(
+            [
+                "diagnose", "--input", str(src), "--output-dir", str(out),
+                "--myriad", "--window", "5", "--below", "60",
+            ]
+        ) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["diagnose_manifest.json", "diagnostics_summary.json"]
+        assert (out / "diagnostics_summary.json").read_text() == '{\n  "fraction_below": {},\n  "skewness": {}\n}\n'
+        manifest = json.loads((out / "diagnose_manifest.json").read_text())
+        assert (manifest["myriad"], manifest["window"], manifest["below"]) == (True, 5, [60.0])
 
 
 def cli_patch_names() -> list[str]:

@@ -18,6 +18,7 @@ from liftcurve.ingest import (
     FilterPolicy,
     LifterEntry,
     Sex,
+    columns_by_sex,
     parse_csv,
     round_kg,
     write_normalized_csv,
@@ -165,6 +166,23 @@ class TestRoundTrip:
         assert round_kg(x) is x
         assert x[:-2].tolist() == [round(v, 2) for v in values]
         assert np.isnan(x[-2]) and x[-1] == np.inf
+
+    # The ties of 2-decimal rounding, every cent's half-cent tie, and jitter around 0.005 kg.
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        | st.integers(0, 10**6).map(lambda cents: cents / 100 + 0.005)
+        | st.floats(0.005 - 1e-9, 0.005 + 1e-9)
+    )
+    @example(0.005)
+    @example(1.005)
+    @example(2.675)
+    @example(55.555)
+    @example(float(np.nextafter(0.005, 0.0)))
+    @example(float(np.nextafter(0.005, 1.0)))
+    def test_two_decimal_cell_of_x_is_that_of_round_kg_x(self, x):
+        # so a file of unrounded kg values holds what their rounding would write
+        assert "%.2f" % x == "%.2f" % round_kg(np.array([x]))[0]
 
 
 # Rows start consistent (total = sum of lifts within a little more than the
@@ -332,3 +350,28 @@ class TestBlockReaderMatchesRowReference:
         for parse in (parse_csv, row_reference.parse_csv):
             with pytest.raises(SchemaError, match=re.escape(f"{path}: {message}")):
                 parse(path)
+
+
+class TestColumnsBySex:
+    """``columns_by_sex`` equals a per-row split, bit for bit."""
+
+    F, M = Sex.FEMALE, Sex.MALE
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(list(Sex)), st.floats(), st.floats()), max_size=30))
+    @example([])
+    @example([(M, 90.0, 500.0), (M, -0.0, float("nan"))])
+    @example([(F, 60.0, 300.0), (M, 90.0, 500.0), (F, 61.5, 301.0)])
+    @example([(M, 90.0, 500.0), (F, 60.0, 300.0), (M, 91.5, 501.0)])
+    def test_same_as_per_row_split(self, rows):
+        entries = [LifterEntry(sex, x, 0.0, 0.0, 0.0, y, "Raw", "Open", "SBD") for sex, x, y in rows]
+        columns = columns_by_sex(entries)
+        present = list(dict.fromkeys(entry.sex for entry in entries))
+        assert set(columns) == set(Sex)
+        assert list(columns)[: len(present)] == present
+        for sex, (indices, bodyweights, totals) in columns.items():
+            want = [i for i, entry in enumerate(entries) if entry.sex is sex]
+            assert indices.dtype.kind == "i" and indices.tolist() == want
+            for column, name in ((bodyweights, "bodyweight_kg"), (totals, "total_kg")):
+                assert column.dtype == np.float64
+                assert column.tobytes() == np.array([getattr(entries[i], name) for i in want], float).tobytes()
